@@ -12,8 +12,9 @@ window start t' from t to the end of the grid.  At tau the odds
 select strategy 1 when O_j > 1, strategy 0 when O_j < 1, and a fair coin
 when O_j is within odds_tol of 1 (exact equality is measure zero in
 floating point; the tolerance is 1e-6).  Values of n_j are clamped to
-[0, 1] before forming odds to absorb quadrature excursions of order 1e-4;
-the raw series is left untouched and bound checks run on raw values.
+[0, 1] before forming odds to absorb rounding excursions of a few ulps
+past the bounds; the raw series is left untouched and bound checks run
+on raw values.
 
 asymptotics summarizes the trailing part of the run (mean, max - min,
 converged flag) and noise_metric reports the standard deviation over a

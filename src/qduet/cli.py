@@ -23,6 +23,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -42,7 +43,6 @@ from .model import (
     build_generator,
     is_entangled,
     load_scenario,
-    with_overrides,
 )
 
 __all__ = ["main", "build_parser", "write_csv", "read_csv", "write_svg"]
@@ -309,8 +309,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise ScenarioError("one of --preset, --scenario, --all-presets or "
                             "--list-presets is required")
 
+    grid = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt))
+            if v is not None}
     for s in scenarios:
-        run_one(with_overrides(s, t_max=args.t_max, dt=args.dt), args)
+        run_one(dataclasses.replace(s, **grid), args)
     return 0
 
 

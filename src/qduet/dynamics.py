@@ -7,19 +7,27 @@ into three parts,
 
     n_j(t) = mu_j(t) + dmu_j(t) + nB_j(t),
 
-computed entirely from V(t), the initial amplitudes alpha_kl and the bath
-occupations N_j:
+each a quadratic form in the player rows of V(t),
 
-  * mu_j: a quadratic form in |V_jk(t)|^2 with weights given by sums of
-    |alpha_kl|^2.  Linear in the probabilities |alpha_kl|^2, so it obeys
-    the classical law of total probability on its own.
-  * dmu_j: the interference part, built from cross products
-    conj(V_jk) V_jl with coefficients conj(alpha) alpha between basis
-    states differing in both bits or swapped across players.  It vanishes
-    identically whenever the initial state is a single basis vector.
-  * nB_j: the bath feed, 2 pi times the running integral of a positive
-    combination of |V_jk(s)|^2 weighted by lambda_j^2/Omega_j and the
-    occupations N_j, 1 - N_j.  Independent of the initial player state.
+    f_j^W(t) = sum_kl conj(V_jk(t)) V_jl(t) W_kl,    j = 1, 2,
+
+for a Hermitian 4x4 weight W:
+
+  * mu_j = f_j^{diag G} and dmu_j = f_j^{G - diag G}, with the Gram matrix
+    G_kl = <B_k psi, B_l psi> of B = (b1, b2, b1^dag, b2^dag) on the
+    initial state psi.  mu_j is linear in the probabilities |alpha_kl|^2,
+    so it obeys the classical law of total probability on its own; the
+    interference part dmu_j vanishes for any single basis state.
+  * nB_j = 2 pi (integral from 0 to t of V D V^dag ds)_jj, the bath feed,
+    with D = diag(k1 N1, k2 N2, k1 (1 - N1), k2 (1 - N2)) and
+    k_j = lambda_j^2/Omega_j.  With A = i U the derivative of V N V^dag
+    is V (A N + N A^dag) V^dag, so any solution N of the Lyapunov
+    equation A N + N A^dag = D gives the integral exactly as
+    V N V^dag - N, and nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) on either
+    propagator route.  A decoupled player (lambda_j = 0) makes the
+    equation singular; any least-squares N is still exact, because a null
+    solution X obeys A X + X A^dag = 0, is constant under the flow and
+    cancels.
 
 The propagator is computed from one eigendecomposition of U per scenario,
 V(t) = P diag(exp(i w t)) P^-1, which costs O(1) linear algebra plus O(nt)
@@ -28,11 +36,6 @@ couplings compete, so the eigenvector matrix can be ill-conditioned near
 parameter points where eigenvalues coalesce; the module falls back to a
 per-point scaling-and-squaring exponential when cond(P) exceeds 1e8 or
 when the reconstructed V(0) misses the identity by more than 1e-12.
-
-The bath integral uses composite trapezoid accumulation on the uniform
-grid (second order in dt, cumulative outputs at every grid point).  The
-grid rule enforced by the model module keeps its error below about 1e-4
-of a probability unit on the stiffest built-in presets.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
+from .algebra import build_mode_operators
 from .model import (
     EvolutionGenerator,
     InitialState,
@@ -68,7 +71,11 @@ __all__ = [
 
 COND_LIMIT = 1e8
 IDENTITY_TOL = 1e-12
-BOUND_TOL = 1e-4
+BOUND_TOL = 1e-8
+
+# B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
+_b1, _b2 = build_mode_operators()
+_MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])
 
 
 class NumericalError(RuntimeError):
@@ -79,15 +86,12 @@ class NumericalError(RuntimeError):
 class PropagatorGrid:
     """V(t_k) = exp(i U t_k) sampled on a uniform grid starting at 0.
 
-    eigenvalues/eigenvectors cache the spectral data of U when the
-    eigendecomposition route was used; both are None when the per-point
-    scaling-and-squaring fallback was active (used_fallback True).
+    used_fallback is True when the per-point scaling-and-squaring
+    exponential ran instead of the eigendecomposition route.
     """
 
     times: np.ndarray
     V: np.ndarray
-    eigenvalues: np.ndarray | None
-    eigenvectors: np.ndarray | None
     used_fallback: bool
 
 
@@ -159,7 +163,6 @@ def propagator(gen: EvolutionGenerator, times: np.ndarray) -> PropagatorGrid:
     if not np.all(np.isfinite(U)):
         raise ValueError("generator contains non-finite entries")
 
-    eigenvalues = eigenvectors = None
     V = None
     used_fallback = False
     try:
@@ -171,9 +174,7 @@ def propagator(gen: EvolutionGenerator, times: np.ndarray) -> PropagatorGrid:
         Pinv = np.linalg.inv(P)
         phases = np.exp(1j * np.outer(times, w))
         V = np.einsum("ab,tb,bc->tac", P, phases, Pinv)
-        if np.abs(V[0] - np.eye(4)).max() <= IDENTITY_TOL:
-            eigenvalues, eigenvectors = w, P
-        else:
+        if np.abs(V[0] - np.eye(4)).max() > IDENTITY_TOL:
             V = None
     if V is None:
         used_fallback = True
@@ -188,77 +189,75 @@ def propagator(gen: EvolutionGenerator, times: np.ndarray) -> PropagatorGrid:
                 f"propagator failed on both routes: eigenvector condition "
                 f"number {cond:.3g}, fallback V(0) deviates from identity by "
                 f"{np.abs(V[0] - np.eye(4)).max():.3g}")
-    return PropagatorGrid(times=times, V=V, eigenvalues=eigenvalues,
-                          eigenvectors=eigenvectors, used_fallback=used_fallback)
+    return PropagatorGrid(times=times, V=V, used_fallback=used_fallback)
+
+
+def _player_form(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_1^W, f_2^W) for one 4x4 V or a (..., 4, 4) stack; W Hermitian.
+
+    Only the upper triangle of W is read.  The terms are summed
+    elementwise over a contiguous copy of the two player rows, skipping
+    zero weights: a zero weight adds an exact zero, and no BLAS call
+    wakes the worker threads on the tall arrays.
+    """
+    V = np.asarray(V, dtype=complex)
+    cols = np.moveaxis(V[..., :2, :], (-1, -2), (0, 1)).copy()
+    f = np.zeros(cols.shape[1:])
+    for k in range(4):
+        if W[k, k] != 0:
+            f += W[k, k].real * (cols[k].real ** 2 + cols[k].imag ** 2)
+        for l in range(k + 1, 4):
+            if W[k, l] != 0:
+                f += 2.0 * (W[k, l] * cols[k].conj() * cols[l]).real
+    return f[0], f[1]
+
+
+def _gram(initial: InitialState) -> np.ndarray:
+    B = _MODES @ initial.amplitudes
+    return B.conj() @ B.T
 
 
 def mu_player(V: np.ndarray, initial: InitialState) -> tuple[np.ndarray, np.ndarray]:
     """Direct (non-interference) part of both decision functions.
 
-    mu_j = |V_j1|^2 (|a10|^2+|a11|^2) + |V_j2|^2 (|a01|^2+|a11|^2)
-         + |V_j3|^2 (|a00|^2+|a01|^2) + |V_j4|^2 (|a00|^2+|a10|^2),
-
-    with j the row index of V.  Accepts a single 4x4 matrix or a stacked
+    mu_j = f_j^{diag G}.  Accepts a single 4x4 matrix or a stacked
     (..., 4, 4) array; returns (mu1, mu2) with the leading shape of V.
     """
-    V = np.asarray(V, dtype=complex)
-    w = np.abs(initial.amplitudes) ** 2
-    weights = np.array([w[1] + w[3], w[2] + w[3], w[0] + w[2], w[0] + w[1]])
-    A2 = np.abs(V) ** 2
-    mu1 = A2[..., 0, :] @ weights
-    mu2 = A2[..., 1, :] @ weights
-    return mu1, mu2
+    return _player_form(V, np.diag(np.diag(_gram(initial))))
 
 
 def delta_mu(V: np.ndarray, initial: InitialState) -> tuple[np.ndarray, np.ndarray]:
     """Interference part of both decision functions.
 
-    dmu_j = 2 Re[conj(V_j1) V_j2 conj(a10) a01 + conj(V_j1) V_j4 conj(a11) a00]
-          - 2 Re[conj(V_j2) V_j3 conj(a11) a00 + conj(V_j3) V_j4 conj(a01) a10].
-
-    Every term carries a product of two distinct amplitudes, so the result
-    is identically zero for any single-basis-vector initial state and at
-    t = 0 where the off-diagonal V entries vanish.  Shapes as in mu_player.
+    dmu_j = f_j^{G - diag G}.  Every off-diagonal G_kl is a product of two
+    distinct amplitudes, so the result is identically zero for any
+    single-basis-vector initial state and at t = 0 where the off-diagonal
+    V entries vanish.  Shapes as in mu_player.
     """
-    V = np.asarray(V, dtype=complex)
-    a = initial.amplitudes
-    c12 = np.conj(a[1]) * a[2]
-    c14 = np.conj(a[3]) * a[0]
-    c34 = np.conj(a[2]) * a[1]
-
-    def row(j: int) -> np.ndarray:
-        Vj = V[..., j, :]
-        pos = np.conj(Vj[..., 0]) * Vj[..., 1] * c12 + np.conj(Vj[..., 0]) * Vj[..., 3] * c14
-        neg = np.conj(Vj[..., 1]) * Vj[..., 2] * c14 + np.conj(Vj[..., 2]) * Vj[..., 3] * c34
-        return 2.0 * (pos.real - neg.real)
-
-    return row(0), row(1)
+    G = _gram(initial)
+    return _player_form(V, G - np.diag(np.diag(G)))
 
 
 def bath_contribution(reservoir: ReservoirState, params: ModelParams,
                       grid: PropagatorGrid) -> tuple[np.ndarray, np.ndarray]:
     """Bath part of both decision functions on the grid.
 
-    nB_j(t) = 2 pi * integral from 0 to t of
-        (lambda1^2/Omega1) (|V_j1(s)|^2 N1 + |V_j3(s)|^2 (1 - N1))
-      + (lambda2^2/Omega2) (|V_j2(s)|^2 N2 + |V_j4(s)|^2 (1 - N2))  ds.
-
-    The integrand depends only on the elapsed time s, so the convolution
-    against the flat bath spectrum reduces to a running integral,
-    accumulated by composite trapezoid on the uniform grid.
+    nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) with N the least-squares
+    solution of A N + N A^dag = D, exact on either propagator route.
     """
-    A2 = np.abs(grid.V) ** 2
+    A = 1j * build_generator(params).U
     k1 = params.lambda1 ** 2 / params.Omega1
     k2 = params.lambda2 ** 2 / params.Omega2
     N1, N2 = reservoir.N1, reservoir.N2
-    out = []
-    for j in (0, 1):
-        integrand = 2.0 * np.pi * (
-            k1 * (A2[:, j, 0] * N1 + A2[:, j, 2] * (1.0 - N1))
-            + k2 * (A2[:, j, 1] * N2 + A2[:, j, 3] * (1.0 - N2)))
-        out.append(cumulative_trapezoid(integrand, dx=grid.times[1] - grid.times[0],
-                                        initial=0.0))
-    return out[0], out[1]
+    D = np.diag([k1 * N1, k2 * N2, k1 * (1.0 - N1), k2 * (1.0 - N2)])
+    eye = np.eye(4)
+    L = np.kron(A, eye) + np.kron(eye, A.conj())
+    N = np.linalg.lstsq(L, D.reshape(16).astype(complex), rcond=None)[0]
+    # clear the rounding noise lstsq leaves where N is zero in exact
+    # arithmetic, so that _player_form skips those terms
+    N[np.abs(N) < 1e-14 * np.abs(N).max()] = 0.0
+    f1, f2 = _player_form(grid.V, N.reshape(4, 4).T)
+    return 2.0 * np.pi * (f1 - f1[0]), 2.0 * np.pi * (f2 - f2[0])
 
 
 def decision_series(s: Scenario) -> DecisionSeries:
@@ -266,7 +265,7 @@ def decision_series(s: Scenario) -> DecisionSeries:
 
     Enforces at run time that nB and dmu start at zero, that n_j(0)
     reproduces the Born marginals within 1e-10, and that the decision
-    functions stay inside [-1e-4, 1 + 1e-4]; violations raise
+    functions stay inside [-1e-8, 1 + 1e-8]; violations raise
     NumericalError with the offending values.
     """
     validate_scenario(s)

@@ -26,13 +26,14 @@ throughout this package.
 
 The grid rule dt * f_max <= 0.1 keeps the fastest frequency in the
 problem (couplings, inertias or damping rates) sampled at sixty or more
-points per period, which is what the second-order quadrature of the bath
-integral needs to stay well below the 1e-4 probability tolerance.
+points per period, so the curves written on the grid, and the max - min
+spans the decision rule reads from them, resolve the fastest oscillation.
+The value at each grid point is exact for any dt; the rule governs only
+the sampling.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -368,14 +369,3 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(d, dict):
         raise ScenarioError(f"scenario document must be a JSON object: {path}")
     return scenario_from_dict(d)
-
-
-def with_overrides(s: Scenario, t_max: float | None = None,
-                   dt: float | None = None) -> Scenario:
-    """Copy a scenario with a new grid; used by the command-line front end."""
-    changes = {}
-    if t_max is not None:
-        changes["t_max"] = t_max
-    if dt is not None:
-        changes["dt"] = dt
-    return dataclasses.replace(s, **changes) if changes else s
