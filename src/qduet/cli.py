@@ -31,7 +31,13 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import analysis, oracle
-from .dynamics import DecisionSeries, NumericalError, decision_series, propagator
+from .dynamics import (
+    DecisionSeries,
+    NumericalError,
+    _series_on_grid,
+    make_times,
+    propagator,
+)
 from .model import (
     CALPHA1,
     CALPHA2,
@@ -43,6 +49,7 @@ from .model import (
     build_generator,
     is_entangled,
     load_scenario,
+    validate_scenario,
 )
 
 __all__ = ["main", "build_parser", "write_csv", "read_csv", "write_svg"]
@@ -50,30 +57,35 @@ __all__ = ["main", "build_parser", "write_csv", "read_csv", "write_svg"]
 CSV_HEADER = "t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_table(path: str | Path, header: str, cols) -> None:
+    # 17 significant digits reproduce every double exactly
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
 def write_csv(path: str | Path, series: DecisionSeries) -> None:
     """Write the full component table, one row per grid point."""
-    t = series.times
-    cols = (t,
-            series.n[:, 0], series.mu[:, 0], series.dmu[:, 0], series.nB[:, 0],
-            series.n[:, 1], series.mu[:, 1], series.dmu[:, 1], series.nB[:, 1])
-    rows = [CSV_HEADER]
-    for i in range(len(t)):
-        rows.append(",".join(_fmt(col[i]) for col in cols))
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write_table(path, CSV_HEADER, (
+        series.times,
+        series.n[:, 0], series.mu[:, 0], series.dmu[:, 0], series.nB[:, 0],
+        series.n[:, 1], series.mu[:, 1], series.dmu[:, 1], series.nB[:, 1]))
 
 
 def read_csv(path: str | Path) -> DecisionSeries:
-    """Read a component table back into a series (scenario not recorded)."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0] != CSV_HEADER:
-        raise ScenarioError(f"{path}: not a decision-series CSV "
-                            f"(expected header {CSV_HEADER!r})")
-    data = np.array([[float(cell) for cell in line.split(",")] for line in text[1:]])
-    if data.ndim != 2 or data.shape[1] != 9:
+    """Read a component table back into a series (scenario not recorded).
+
+    A wrong header, a non-numeric cell or a row of the wrong length
+    raises ScenarioError.
+    """
+    with open(path) as fh:
+        if fh.readline().strip() != CSV_HEADER:
+            raise ScenarioError(f"{path}: not a decision-series CSV "
+                                f"(expected header {CSV_HEADER!r})")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
+    if data.shape[1] != 9:
         raise ScenarioError(f"{path}: expected 9 columns per row")
     return DecisionSeries(
         times=data[:, 0],
@@ -228,7 +240,10 @@ def _outcome_line(o: analysis.DecisionOutcome) -> str:
 
 def run_one(s: Scenario, args: argparse.Namespace) -> None:
     """Simulate one scenario and emit files and report lines."""
-    series = decision_series(s)
+    validate_scenario(s)
+    gen = build_generator(s.params)
+    grid = propagator(gen, make_times(s.t_max, s.dt))
+    series = _series_on_grid(s, grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _safe_name(s.label)
@@ -258,8 +273,6 @@ def run_one(s: Scenario, args: argparse.Namespace) -> None:
         print(_outcome_line(outcome))
 
     if args.oracle:
-        gen = build_generator(s.params)
-        grid = propagator(gen, series.times)
         residual = oracle.propagator_residual(gen, grid)
         route = "fallback" if grid.used_fallback else "eigendecomposition"
         print(f"oracle: propagator defect {residual:.6g} at dt={s.dt:g} ({route})")
@@ -273,10 +286,7 @@ def run_one(s: Scenario, args: argparse.Namespace) -> None:
     if args.ltp:
         times, R = oracle.ltp_residual(s)
         ltp_path = out_dir / f"{stem}_ltp.csv"
-        rows = ["t,R1,R2"]
-        for i in range(len(times)):
-            rows.append(f"{_fmt(times[i])},{_fmt(R[i, 0])},{_fmt(R[i, 1])}")
-        ltp_path.write_text("\n".join(rows) + "\n")
+        _write_table(ltp_path, "t,R1,R2", (times, R[:, 0], R[:, 1]))
         print(f"wrote {ltp_path}")
         ident = np.abs(R - series.dmu).max()
         print(f"ltp: max |R1|={np.abs(R[:, 0]).max():.6g} "

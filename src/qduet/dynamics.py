@@ -269,10 +269,13 @@ def decision_series(s: Scenario) -> DecisionSeries:
     NumericalError with the offending values.
     """
     validate_scenario(s)
-    times = make_times(s.t_max, s.dt)
-    gen = build_generator(s.params)
-    grid = propagator(gen, times)
+    grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
+    return _series_on_grid(s, grid)
 
+
+def _series_on_grid(s: Scenario, grid: PropagatorGrid) -> DecisionSeries:
+    """decision_series(s) on grid = propagator(build_generator(s.params),
+    make_times(s.t_max, s.dt)) for a validated s."""
     mu1, mu2 = mu_player(grid.V, s.initial)
     dmu1, dmu2 = delta_mu(grid.V, s.initial)
     nB1, nB2 = bath_contribution(s.reservoir, s.params, grid)
@@ -293,4 +296,4 @@ def decision_series(s: Scenario) -> DecisionSeries:
         raise NumericalError(
             f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
             f"range [{low:.6g}, {high:.6g}] (scenario {s.label!r})")
-    return DecisionSeries(times=times, mu=mu, dmu=dmu, nB=nB, n=n, scenario=s)
+    return DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=nB, n=n, scenario=s)

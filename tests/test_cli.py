@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from qduet import cli, dynamics, oracle
 from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv
-from qduet.dynamics import decision_series
-from qduet.model import PRESETS, save_scenario, scenario_to_dict
+from qduet.dynamics import decision_series, propagator
+from qduet.model import PRESETS, ScenarioError, save_scenario, scenario_to_dict
 
 
 def run_cli(argv, capsys):
@@ -64,6 +65,22 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.mu, series.mu)
     assert np.array_equal(back.dmu, series.dmu)
     assert np.array_equal(back.nB, series.nB)
+
+
+ROW = ",".join(["0.5"] * 9)
+
+
+@pytest.mark.parametrize("text", [
+    f"t,n1,n2\n{ROW}",
+    f"{CSV_HEADER}\nabc{ROW[3:]}",
+    f"{CSV_HEADER}\n{ROW}\n{ROW[:-4]}",
+    f"{CSV_HEADER}\n{ROW[:-4]}",
+], ids=["wrong-header", "non-numeric-cell", "short-row", "8-columns"])
+def test_read_csv_rejects_malformed_tables(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text + "\n")
+    with pytest.raises(ScenarioError):
+        read_csv(path)
 
 
 def test_cli_runs_are_deterministic(tmp_path, capsys):
@@ -146,3 +163,26 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
 def test_all_presets_conflicts_with_single_source(capsys):
     code, out, err = run_cli(["--all-presets", "--preset", "fig1-left"], capsys)
     assert code == 1
+
+
+def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):
+    # the run, --oracle and the four LTP conditionals share their grid;
+    # ltp_residual builds its own, once
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return propagator(*args, **kwargs)
+
+    for module in (dynamics, cli, oracle):
+        monkeypatch.setattr(module, "propagator", counting)
+    argv = ["--preset", "fig6-left", "--t-max", "0.05", "--no-csv",
+            "--out", str(tmp_path)]
+    for extra, builds in (([], 1), (["--ltp", "--oracle"], 2)):
+        calls.clear()
+        code, _, err = run_cli(argv + extra, capsys)
+        assert code == 0, err
+        assert len(calls) == builds
+    calls.clear()
+    oracle.ltp_residual(PRESETS["fig6-right"])
+    assert len(calls) == 1

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from test_dynamics import exceptional_params
 from qduet.dynamics import decision_series, make_times, propagator
 from qduet.model import (
     InitialState,
@@ -163,6 +164,19 @@ def test_ltp_residual_equals_interference_part():
     series = decision_series(s)
     assert np.array_equal(times, series.times)
     assert np.abs(R - series.dmu).max() <= 1e-10
+
+
+def test_ltp_residual_equals_interference_part_at_exceptional_point():
+    # the conditional runs share the fallback-route grid of the full run
+    s = Scenario(params=exceptional_params(), reservoir=ReservoirState(0.3, 0.8),
+                 initial=InitialState(0.5j, -0.5j, 0.5, -0.5), t_max=5.0,
+                 dt=1e-3, label="ep")
+    assert propagator(build_generator(s.params),
+                      make_times(s.t_max, s.dt)).used_fallback
+    _, R = ltp_residual(s)
+    dmu = decision_series(s).dmu
+    assert np.abs(dmu).max() > 1e-3
+    assert np.abs(R - dmu).max() <= 1e-12
 
 
 def test_ltp_residual_oscillates_for_phased_superposition():
