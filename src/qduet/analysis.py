@@ -5,7 +5,10 @@ of selecting strategy 1 at time t.  A decision is made once the function
 has stabilized: given a fluctuation threshold epsilon and an observation
 window W, the decision instant tau_j is the earliest grid time t such
 that max - min of n_j over [t', t' + W] stays below epsilon for every
-window start t' from t to the end of the grid.  At tau the odds
+window start t' from t to the end of the grid.  The rule runs in O(nt)
+whatever the window: the window spans come from running maxima and
+minima over blocks of one window length (van Herk/Gil-Werman), which are
+exact, so tau equals the brute-force rule bit for bit.  At tau the odds
 
     O_j = p_j(1) / p_j(0),    p_j(0) = 1 - p_j(1)
 
@@ -107,21 +110,51 @@ def _decide(o: float) -> int | str:
     return 1 if o > 1.0 else 0
 
 
+def _window_spans(values: np.ndarray, length: int) -> np.ndarray:
+    """max - min of every run of `length` consecutive values, in O(len(values)).
+
+    Cut the series into blocks of `length`.  The window starting at i is
+    the tail of i's block joined to the head of the next block up to
+    i + length - 1, so its extreme is that of a backward running extreme
+    at i and a forward one at i + length - 1.  The edge padding of the
+    last block never reaches a window inside the series.
+    """
+    n = len(values)
+    blocks = -(-n // length)
+    b = np.pad(values, (0, blocks * length - n), mode="edge").reshape(blocks, length)
+
+    def extreme(ufunc):
+        forward = ufunc.accumulate(b, axis=1).ravel()
+        backward = ufunc.accumulate(b[:, ::-1], axis=1)[:, ::-1].ravel()
+        return ufunc(backward[: n - length + 1], forward[length - 1 : n])
+
+    return extreme(np.maximum) - extreme(np.minimum)
+
+
+def _rule_window(epsilon: float, window: float | None, t_max: float) -> float:
+    """Check the decision-rule settings; return the window (default 10% of t_max)."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if window is None:
+        window = 0.1 * t_max
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be positive and finite, got {window}")
+    if window > t_max:
+        raise ValueError(f"window {window} exceeds the run length {t_max}")
+    return window
+
+
 def decision_time(series: DecisionSeries, epsilon: float = 0.01,
                   window: float | None = None) -> tuple[DecisionOutcome, DecisionOutcome]:
     """Earliest stable instant and resulting decision for both players.
 
     The stability condition (max - min of n_j below epsilon over every
     window of length `window` starting at or after tau) is evaluated on
-    the raw series.  window defaults to 10 percent of the run length.
+    the raw series in O(nt).  window defaults to 10 percent of the run
+    length.  A non-finite or non-positive epsilon or window, or a window
+    longer than the run, raises ValueError.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    t_max = series.t_max
-    if window is None:
-        window = 0.1 * t_max
-    if window > t_max:
-        raise ValueError(f"window {window} exceeds the run length {t_max}")
+    window = _rule_window(epsilon, window, series.t_max)
     dt = series.dt
     w_samples = max(1, int(round(window / dt)))
 
@@ -131,8 +164,7 @@ def decision_time(series: DecisionSeries, epsilon: float = 0.01,
         if w_samples + 1 > len(values):
             spans = np.array([values.max() - values.min()])
         else:
-            windows = np.lib.stride_tricks.sliding_window_view(values, w_samples + 1)
-            spans = windows.max(axis=1) - windows.min(axis=1)
+            spans = _window_spans(values, w_samples + 1)
         ok = spans < epsilon
         stable_from_here = np.logical_and.accumulate(ok[::-1])[::-1]
         if stable_from_here.any():

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -74,17 +75,22 @@ def write_csv(path: str | Path, series: DecisionSeries) -> None:
 def read_csv(path: str | Path) -> DecisionSeries:
     """Read a component table back into a series (scenario not recorded).
 
-    A wrong header, a non-numeric cell or a row of the wrong length
-    raises ScenarioError.
+    A wrong header, a table without data rows, a non-numeric cell or a
+    row of the wrong length raises ScenarioError.
     """
     with open(path) as fh:
         if fh.readline().strip() != CSV_HEADER:
             raise ScenarioError(f"{path}: not a decision-series CSV "
                                 f"(expected header {CSV_HEADER!r})")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty body is reported below as an error instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
+    if len(data) == 0:
+        raise ScenarioError(f"{path}: no data rows")
     if data.shape[1] != 9:
         raise ScenarioError(f"{path}: expected 9 columns per row")
     return DecisionSeries(
@@ -239,8 +245,7 @@ def _outcome_line(o: analysis.DecisionOutcome) -> str:
 
 
 def run_one(s: Scenario, args: argparse.Namespace) -> None:
-    """Simulate one scenario and emit files and report lines."""
-    validate_scenario(s)
+    """Simulate one validated scenario and emit files and report lines."""
     gen = build_generator(s.params)
     grid = propagator(gen, make_times(s.t_max, s.dt))
     series = _series_on_grid(s, grid)
@@ -321,8 +326,18 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     grid = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt))
             if v is not None}
+    scenarios = [validate_scenario(dataclasses.replace(s, **grid))
+                 for s in scenarios]
+    # check the analysis settings before any run writes a file
+    if not 0.0 < args.tail < 1.0:
+        raise ScenarioError(f"--tail must lie in (0, 1), got {args.tail}")
     for s in scenarios:
-        run_one(dataclasses.replace(s, **grid), args)
+        try:
+            analysis._rule_window(args.epsilon, args.window, s.t_max)
+        except ValueError as exc:
+            raise ScenarioError(f"{s.label}: {exc}") from None
+    for s in scenarios:
+        run_one(s, args)
     return 0
 
 

@@ -1,6 +1,7 @@
 """Decision analysis: odds, decision time, asymptotics, noise."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qduet.analysis import (
+    _window_spans,
     asymptotics,
     decision_time,
     noise_metric,
@@ -120,6 +122,40 @@ def test_decision_time_window_validation():
         decision_time(series, epsilon=0.01, window=1.0)
     with pytest.raises(ValueError):
         decision_time(series, epsilon=-1.0)
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            decision_time(series, epsilon=epsilon)
+    for window in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="window"):
+            decision_time(series, epsilon=0.01, window=window)
+
+
+@st.composite
+def series_and_length(draw):
+    values = np.array(draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=300)))
+    return values, draw(st.integers(1, len(values)))
+
+
+@given(case=series_and_length())
+@settings(deadline=None, max_examples=300)
+def test_window_spans_equal_brute_force(case):
+    values, length = case
+    windows = np.lib.stride_tricks.sliding_window_view(values, length)
+    assert np.array_equal(_window_spans(values, length),
+                          windows.max(axis=1) - windows.min(axis=1))
+
+
+def test_decision_time_is_linear_in_the_horizon():
+    # default window = 10% of the run, i.e. 40000 samples; a rule that
+    # scans every window costs nt * w = 1.6e10 comparisons here
+    times = make_times(400.0, 1e-3)
+    values = 0.5 + 0.4 * np.exp(-times) * np.cos(40.0 * times)
+    series = synthetic(values, values[::-1], dt=1e-3)
+    start = time.perf_counter()
+    o1, o2 = decision_time(series, epsilon=0.01)
+    assert time.perf_counter() - start < 2.0
+    assert o1.tau is not None and o2.tau is None
 
 
 def test_asymptotics_constant_series():

@@ -70,16 +70,19 @@ def test_csv_round_trip_is_exact(tmp_path):
 ROW = ",".join(["0.5"] * 9)
 
 
-@pytest.mark.parametrize("text", [
-    f"t,n1,n2\n{ROW}",
-    f"{CSV_HEADER}\nabc{ROW[3:]}",
-    f"{CSV_HEADER}\n{ROW}\n{ROW[:-4]}",
-    f"{CSV_HEADER}\n{ROW[:-4]}",
-], ids=["wrong-header", "non-numeric-cell", "short-row", "8-columns"])
-def test_read_csv_rejects_malformed_tables(tmp_path, text):
+@pytest.mark.parametrize("text, message", [
+    (f"t,n1,n2\n{ROW}", "not a decision-series CSV"),
+    (f"{CSV_HEADER}\nabc{ROW[3:]}", None),
+    (f"{CSV_HEADER}\n{ROW}\n{ROW[:-4]}", None),
+    (f"{CSV_HEADER}\n{ROW[:-4]}", "expected 9 columns"),
+    (CSV_HEADER, "no data rows"),
+], ids=["wrong-header", "non-numeric-cell", "short-row", "8-columns",
+        "header-only"])
+@pytest.mark.filterwarnings("error")
+def test_read_csv_rejects_malformed_tables(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text + "\n")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=message):
         read_csv(path)
 
 
@@ -158,6 +161,24 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
     assert "max |R - dmu|" in out
     dev_line = [l for l in out.splitlines() if "closed-system deviation" in l][0]
     assert float(dev_line.rsplit(" ", 1)[1]) < 1e-8
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--window", "5"], "exceeds the run length"),
+    (["--window", "0"], "window must be positive"),
+    (["--window", "nan"], "window must be positive"),
+    (["--epsilon", "-1"], "epsilon must be positive"),
+    (["--epsilon", "nan"], "epsilon must be positive"),
+    (["--tail", "2"], "--tail"),
+    (["--all-presets", "--t-max", "0.2", "--window", "0.3"], "exceeds"),
+])
+def test_bad_analysis_setting_is_config_error(tmp_path, capsys, flags, message):
+    source = [] if "--all-presets" in flags else ["--preset", "fig1-left"]
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(source + flags + ["--out", str(out_dir)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not out_dir.exists()
 
 
 def test_all_presets_conflicts_with_single_source(capsys):
