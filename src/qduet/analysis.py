@@ -161,10 +161,7 @@ def decision_time(series: DecisionSeries, epsilon: float = 0.01,
     outcomes = []
     for j in (0, 1):
         values = series.n[:, j]
-        if w_samples + 1 > len(values):
-            spans = np.array([values.max() - values.min()])
-        else:
-            spans = _window_spans(values, w_samples + 1)
+        spans = _window_spans(values, min(w_samples + 1, len(values)))
         ok = spans < epsilon
         stable_from_here = np.logical_and.accumulate(ok[::-1])[::-1]
         if stable_from_here.any():

@@ -333,7 +333,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise ScenarioError(f"--tail must lie in (0, 1), got {args.tail}")
     for s in scenarios:
         try:
-            analysis._rule_window(args.epsilon, args.window, s.t_max)
+            analysis._rule_window(args.epsilon, args.window,
+                                  make_times(s.t_max, s.dt)[-1])
         except ValueError as exc:
             raise ScenarioError(f"{s.label}: {exc}") from None
     for s in scenarios:

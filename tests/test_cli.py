@@ -171,9 +171,23 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
     (["--epsilon", "nan"], "epsilon must be positive"),
     (["--tail", "2"], "--tail"),
     (["--all-presets", "--t-max", "0.2", "--window", "0.3"], "exceeds"),
+    # the grid of t_max 0.5 and dt 0.4 ends at 0.4
+    (["--t-max", "0.5", "--dt", "0.4", "--window", "0.5"],
+     "exceeds the run length 0.4"),
 ])
 def test_bad_analysis_setting_is_config_error(tmp_path, capsys, flags, message):
-    source = [] if "--all-presets" in flags else ["--preset", "fig1-left"]
+    if "--all-presets" in flags:
+        source = []
+    elif "--dt" in flags:
+        # rates small enough for dt = 0.4 to pass the grid rule
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({
+            **scenario_to_dict(PRESETS["fig1-left"]),
+            "omega1": 0.1, "omega2": 0.1, "Omega1": 1.0, "Omega2": 1.0,
+            "lambda1": 0.1, "lambda2": 0.1, "mu_ex": 0.1}))
+        source = ["--scenario", str(path)]
+    else:
+        source = ["--preset", "fig1-left"]
     out_dir = tmp_path / "out"
     code, out, err = run_cli(source + flags + ["--out", str(out_dir)], capsys)
     assert code == 1

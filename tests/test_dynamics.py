@@ -47,14 +47,13 @@ def make_scenario(params, initial, N1=0.0, N2=0.0, t_max=1.0, dt=1e-3,
                     initial=initial, t_max=t_max, dt=dt, label=label)
 
 
-def exceptional_params(detune=0.0):
+def exceptional_params(detune=0.0, g1=2.0, g2=1.0, omega=1.0):
     # equal inertias with exchange balancing the damping mismatch put the
     # generator at an exceptional point; detune moves mu_ex off it
-    g1, g2 = 2.0, 1.0
-    return make_params(omega1=1.0, omega2=1.0, Omega1=1.0, Omega2=1.0,
+    return make_params(omega1=omega, omega2=omega, Omega1=1.0, Omega2=1.0,
                        lambda1=math.sqrt(g1 / math.pi),
                        lambda2=math.sqrt(g2 / math.pi),
-                       mu_ex=(g1 - g2) / 2.0 + detune)
+                       mu_ex=abs(g1 - g2) / 2.0 + detune)
 
 
 params_strategy = st.builds(
@@ -145,6 +144,54 @@ def test_propagator_fallback_on_defective_generator():
     assert grid.used_fallback
     expected = np.eye(4)[None, :, :] + 1j * U[None, :, :] * times[:, None, None]
     assert np.abs(grid.V - expected).max() <= 1e-12
+
+
+def test_propagator_table_squares_large_steps():
+    # nilpotent of degree 3 with dt ||U||_1 = 12.5: both factor stacks of
+    # the table need 6 to 8 squarings; e^{iUt} = 1 + iUt - (Ut)^2 / 2
+    U = np.zeros((4, 4), dtype=complex)
+    U[0, 1] = U[1, 2] = 25.0
+    gen = EvolutionGenerator(U=U, nu1=0.0, nu2=0.0)
+    times = make_times(10.0, 0.5)
+    grid = propagator(gen, times)
+    assert grid.used_fallback
+    iUt = 1j * U[None, :, :] * times[:, None, None]
+    expected = np.eye(4) + iUt + iUt @ iUt / 2.0
+    assert np.abs(grid.V - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+exceptional_detunes = st.one_of(
+    st.just(0.0),
+    st.floats(-1e-3, 1e-3),
+    st.builds(lambda sign, e: sign * 10.0 ** e,
+              st.sampled_from([-1.0, 1.0]), st.floats(-16.0, -3.0)),
+)
+
+
+@given(detune=exceptional_detunes, g1=st.floats(0.05, 3.0),
+       g2=st.floats(0.05, 3.0), omega=st.floats(-2.0, 2.0),
+       t_max=st.floats(0.5, 20.0))
+@settings(deadline=None, max_examples=80)
+def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max):
+    gen = build_generator(exceptional_params(detune, g1, g2, omega))
+    times = make_times(t_max, t_max / 2000)
+    grid = propagator(gen, times)
+
+    # the documented trigger: cond(P) > 1e8, or the eigen route's V(0)
+    # missing the identity by more than 1e-12
+    w, P = np.linalg.eig(np.asarray(gen.U, dtype=complex))
+    cond = np.linalg.cond(P)
+    V0 = np.einsum("ab,tb,bc->tac", P, np.exp(1j * np.outer(times[:1], w)),
+                   np.linalg.inv(P))[0]
+    assert grid.used_fallback == (cond > 1e8 or np.abs(V0 - np.eye(4)).max() > 1e-12)
+
+    # the eigen route rounds at the scale n eps cond(P), n = 4, which
+    # passes 1e-12 once cond(P) exceeds ~1e3
+    tol = 1e-12
+    if not grid.used_fallback:
+        tol = max(tol, 4 * np.finfo(float).eps * cond)
+    for i in np.linspace(0, len(times) - 1, 20).astype(int):
+        assert np.abs(grid.V[i] - expm(1j * gen.U * times[i])).max() <= tol
 
 
 def test_propagator_fallback_near_eigenvalue_coalescence():
@@ -248,15 +295,15 @@ def test_saturated_state_stays_in_bounds_near_exceptional_point(detune, N, k):
     assert series.n.min() >= -1e-10 and series.n.max() <= 1.0 + 1e-10
 
 
-def test_import_does_not_load_scipy_integrate():
-    # the bath term needs no quadrature; importing the package must not
-    # pay for scipy.integrate
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
     src = str(Path(qduet.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import qduet; "
-            f"print('scipy.integrate' in sys.modules)")
+            f"import qduet.cli; print(sorted(m for m in sys.modules "
+            f"if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_decision_series_free_case_constant():
