@@ -30,6 +30,7 @@ from .dynamics import (
     make_times,
     mu_player,
     propagator,
+    scenario_grid,
 )
 from .model import (
     CALPHA1,
@@ -70,7 +71,7 @@ __all__ = [
     "PRESETS", "C1", "C2", "CALPHA1", "CALPHA2",
     "PropagatorGrid", "DecisionSeries", "NumericalError",
     "make_times", "propagator", "mu_player", "delta_mu",
-    "bath_contribution", "decision_series",
+    "bath_contribution", "scenario_grid", "decision_series",
     "closed_hamiltonian", "exact_closed_evolution",
     "propagator_residual", "ltp_residual",
     "DecisionOutcome", "AsymptoticsReport",

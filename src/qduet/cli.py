@@ -35,9 +35,9 @@ from . import analysis, oracle
 from .dynamics import (
     DecisionSeries,
     NumericalError,
-    _series_on_grid,
+    decision_series,
     make_times,
-    propagator,
+    scenario_grid,
 )
 from .model import (
     CALPHA1,
@@ -246,9 +246,7 @@ def _outcome_line(o: analysis.DecisionOutcome) -> str:
 
 def run_one(s: Scenario, args: argparse.Namespace) -> None:
     """Simulate one validated scenario and emit files and report lines."""
-    gen = build_generator(s.params)
-    grid = propagator(gen, make_times(s.t_max, s.dt))
-    series = _series_on_grid(s, grid)
+    series = decision_series(s)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _safe_name(s.label)
@@ -278,7 +276,8 @@ def run_one(s: Scenario, args: argparse.Namespace) -> None:
         print(_outcome_line(outcome))
 
     if args.oracle:
-        residual = oracle.propagator_residual(gen, grid)
+        grid = scenario_grid(s)  # the run's own grid, not a rebuild
+        residual = oracle.propagator_residual(build_generator(s.params), grid)
         route = "fallback" if grid.used_fallback else "eigendecomposition"
         print(f"oracle: propagator defect {residual:.6g} at dt={s.dt:g} ({route})")
         if s.params.lambda1 == 0.0 and s.params.lambda2 == 0.0:

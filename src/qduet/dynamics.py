@@ -40,6 +40,12 @@ B = ceil(sqrt(nt)) and k = q B + b, the table reads
 V(t_k) = V(t_{qB}) V(t_b): two stacks of about sqrt(nt) exponentials,
 each from one batched scaling-and-squaring Taylor series, then one
 batched product.
+
+A scenario's grid depends only on (params, t_max, dt), so a run, its
+four law-of-total-probability conditional runs and a sweep over initial
+states share one.  scenario_grid alone builds it and keeps the last one,
+keyed on (params, t_max, dt), with read-only times and V arrays; at most
+one grid is held, and it stays in memory after a run.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ __all__ = [
     "mu_player",
     "delta_mu",
     "bath_contribution",
+    "scenario_grid",
     "decision_series",
 ]
 
@@ -80,6 +87,9 @@ BOUND_TOL = 1e-8
 # B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
 _b1, _b2 = build_mode_operators()
 _MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])
+
+# the last grid scenario_grid built, under its key; at most one entry
+_grid_slot: dict = {}
 
 
 class NumericalError(RuntimeError):
@@ -282,22 +292,40 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
     return 2.0 * np.pi * (f1 - f1[0]), 2.0 * np.pi * (f2 - f2[0])
 
 
+def scenario_grid(s: Scenario) -> PropagatorGrid:
+    """Validate s and return propagator(build_generator(s.params),
+    make_times(s.t_max, s.dt)), reusing the last grid built.
+
+    The cache key is (s.params, s.t_max, s.dt), so scenarios that differ
+    only in reservoir, initial state or label share a grid.  The one slot
+    is emptied before a different grid is built, so at most one grid is
+    ever held, and it stays in memory after the run.  Its times and V
+    arrays are read-only.
+    """
+    validate_scenario(s)
+    key = (s.params, s.t_max, s.dt)
+    grid = _grid_slot.get(key)
+    if grid is None:
+        _grid_slot.clear()  # release the old grid before building the next
+        grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
+        grid.times.flags.writeable = False
+        grid.V.flags.writeable = False
+        _grid_slot[key] = grid
+    return grid
+
+
 def decision_series(s: Scenario) -> DecisionSeries:
     """Run a scenario: validate, propagate, assemble n_j = mu + dmu + nB.
 
+    The propagator comes from scenario_grid(s), keyed on (params, t_max,
+    dt), and stays in memory after the run; the returned times array is
+    that grid's read-only one.
     Enforces at run time that nB and dmu start at zero, that n_j(0)
     reproduces the Born marginals within 1e-10, and that the decision
     functions stay inside [-1e-8, 1 + 1e-8]; violations raise
     NumericalError with the offending values.
     """
-    validate_scenario(s)
-    grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
-    return _series_on_grid(s, grid)
-
-
-def _series_on_grid(s: Scenario, grid: PropagatorGrid) -> DecisionSeries:
-    """decision_series(s) on grid = propagator(build_generator(s.params),
-    make_times(s.t_max, s.dt)) for a validated s."""
+    grid = scenario_grid(s)
     mu1, mu2 = mu_player(grid.V, s.initial)
     dmu1, dmu2 = delta_mu(grid.V, s.initial)
     nB1, nB2 = bath_contribution(s.reservoir, s.params, grid)

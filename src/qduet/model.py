@@ -66,6 +66,9 @@ __all__ = [
 
 NORM_TOL = 1e-10
 GRID_RULE = 0.1
+# 2**22 grid points keep the propagator array (4x4 complex, 256 B per
+# point) within 1 GiB
+MAX_GRID_POINTS = 2 ** 22
 
 
 class ScenarioError(ValueError):
@@ -258,8 +261,10 @@ def validate_scenario(s: Scenario) -> Scenario:
     """Check all scenario invariants; return the scenario unchanged.
 
     Raises ScenarioError on domain violations, on a non-positive or
-    non-ordered grid, and on a grid too coarse for the fastest frequency
-    (dt * f_max must stay below 0.1; the message reports the required dt).
+    non-ordered grid, on a grid too coarse for the fastest frequency
+    (dt * f_max must stay below 0.1; the message reports the required dt)
+    and on a grid of more than MAX_GRID_POINTS points (the message reports
+    the propagator bytes and the largest t_max allowed at that dt).
     """
     _require_finite("t_max", s.t_max)
     _require_finite("dt", s.dt)
@@ -274,6 +279,13 @@ def validate_scenario(s: Scenario) -> Scenario:
         raise ScenarioError(
             f"grid too coarse: dt*f_max = {s.dt * f_max:.3g} > {GRID_RULE}; "
             f"need dt <= {GRID_RULE / f_max:.3g}")
+    steps = s.t_max / s.dt
+    nt = round(steps) + 1 if math.isfinite(steps) else math.inf
+    if nt > MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"grid too large: {nt} points, whose propagator would take "
+            f"{nt * 256:.4g} bytes; at dt={s.dt:g} t_max may be at most "
+            f"{(MAX_GRID_POINTS - 1) * s.dt:.6g} ({MAX_GRID_POINTS} points)")
     return s
 
 

@@ -1,8 +1,8 @@
 """Independent verification paths for the simulation pipeline.
 
 Three brute-force checks.  The first two share no code with the
-production route beyond the operator algebra; the third shares only the
-propagator grid of the run it checks:
+production route beyond the operator algebra; the third is built from
+whole production runs:
 
   * exact_closed_evolution: for zero bath coupling the joint state obeys
     an ordinary 4-dimensional Schrodinger equation with the Hermitian
@@ -30,9 +30,9 @@ propagator grid of the run it checks:
     bath part does not depend on the initial player state at all, so the
     residual isolates exactly the interference part dmu_j; the comparison
     is still run through the four conditional simulations, not through
-    that identity.  All five runs share one propagator grid, since they
-    differ only in the initial state; each is still fully assembled
-    (mu, dmu, bath) with its own run-time checks, so R never reads dmu.
+    that identity.  Each of the five runs is a full decision_series call
+    (mu, dmu, bath, run-time checks), so R never reads dmu; they differ
+    only in the initial state, so dynamics builds their propagator once.
 
 Matrix residuals use the maximum absolute entry as the norm, which is
 cheap and adequate for fixed 4x4 operators.
@@ -45,15 +45,8 @@ import dataclasses
 import numpy as np
 
 from . import algebra
-from .dynamics import PropagatorGrid, _series_on_grid, make_times, propagator
-from .model import (
-    EvolutionGenerator,
-    InitialState,
-    ModelParams,
-    Scenario,
-    build_generator,
-    validate_scenario,
-)
+from .dynamics import PropagatorGrid, decision_series
+from .model import EvolutionGenerator, InitialState, ModelParams, Scenario
 
 __all__ = [
     "closed_hamiltonian",
@@ -122,16 +115,13 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Law-of-total-probability residual series for both players.
 
     Runs the scenario itself plus the four conditional scenarios with the
-    sharp basis initial states phi_km, all five on one propagator grid
-    (they share parameters and time grid), then returns (times, R) where
+    sharp basis initial states phi_km, then returns (times, R) where
     R[:, j-1] = n_j(t) - sum_km |alpha_km|^2 n_j(t | started from phi_km).
 
     The residual vanishes identically for basis-state initial conditions
     and reproduces the interference part dmu_j for superpositions.
     """
-    validate_scenario(s)
-    grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
-    series = _series_on_grid(s, grid)
+    series = decision_series(s)
     weights = np.abs(s.initial.amplitudes) ** 2
     classical = np.zeros_like(series.n)
     for idx, w in enumerate(weights):
@@ -139,5 +129,5 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
         conditional = dataclasses.replace(
             s, initial=InitialState.basis_state(k, l),
             label=f"{s.label}|phi{k}{l}")
-        classical += w * _series_on_grid(conditional, grid).n
+        classical += w * decision_series(conditional).n
     return series.times, series.n - classical

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qduet import cli, dynamics, oracle
+from qduet import dynamics, oracle
 from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv
 from qduet.dynamics import decision_series, propagator
 from qduet.model import PRESETS, ScenarioError, save_scenario, scenario_to_dict
@@ -201,23 +201,33 @@ def test_all_presets_conflicts_with_single_source(capsys):
 
 
 def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):
-    # the run, --oracle and the four LTP conditionals share their grid;
-    # ltp_residual builds its own, once
+    # the run, --oracle and the four LTP conditionals share one grid
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return propagator(*args, **kwargs)
 
-    for module in (dynamics, cli, oracle):
-        monkeypatch.setattr(module, "propagator", counting)
+    monkeypatch.setattr(dynamics, "propagator", counting)
     argv = ["--preset", "fig6-left", "--t-max", "0.05", "--no-csv",
             "--out", str(tmp_path)]
-    for extra, builds in (([], 1), (["--ltp", "--oracle"], 2)):
+    for extra in ([], ["--ltp", "--oracle"]):
+        dynamics._grid_slot.clear()
         calls.clear()
         code, _, err = run_cli(argv + extra, capsys)
         assert code == 0, err
-        assert len(calls) == builds
+        assert len(calls) == 1
+    dynamics._grid_slot.clear()
     calls.clear()
     oracle.ltp_residual(PRESETS["fig6-right"])
     assert len(calls) == 1
+
+
+def test_grid_too_large_is_config_error(tmp_path, capsys):
+    # 10^7 points: the propagator alone would take 2.56 GB
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["--preset", "fig3-left", "--t-max", "1000",
+                              "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "10000001 points" in err
+    assert not out_dir.exists()

@@ -1,8 +1,10 @@
 """Propagator and decision-function assembly."""
 
+import dataclasses
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.linalg import expm
 
 from conftest import amplitude_vectors
 import qduet
+from qduet import dynamics
 from qduet.dynamics import (
     DecisionSeries,
     bath_contribution,
@@ -21,6 +24,7 @@ from qduet.dynamics import (
     make_times,
     mu_player,
     propagator,
+    scenario_grid,
 )
 from qduet.model import (
     PRESETS,
@@ -63,6 +67,47 @@ params_strategy = st.builds(
     lambda1=st.floats(0, 1.0), lambda2=st.floats(0, 1.0),
     mu_ex=st.floats(-3, 3), mu_coop=st.floats(-3, 3),
 )
+
+
+SHORT = dataclasses.replace(PRESETS["fig6-left"], t_max=0.05, label="short")
+
+
+def test_scenario_grid_is_shared_and_read_only():
+    series = decision_series(SHORT)
+    grid = scenario_grid(dataclasses.replace(
+        SHORT, initial=InitialState.basis_state(1, 0),
+        reservoir=ReservoirState(1.0, 0.0), label="other"))
+    assert grid.times is series.times
+    with pytest.raises(ValueError):
+        series.times[0] = 1.0
+    with pytest.raises(ValueError):
+        grid.V[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("change", [
+    dict(t_max=0.04), dict(dt=5e-5),
+    dict(params=dataclasses.replace(SHORT.params, mu_ex=10.5)),
+])
+def test_scenario_grid_rebuilds_for_a_new_key(change):
+    scenario_grid(SHORT)
+    s = dataclasses.replace(SHORT, **change)
+    grid = scenario_grid(s)
+    fresh = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
+    assert grid.times.tobytes() == fresh.times.tobytes()
+    assert grid.V.tobytes() == fresh.V.tobytes()
+    assert grid.used_fallback == fresh.used_fallback
+
+
+def test_scenario_grid_releases_the_old_grid_first(monkeypatch):
+    old = weakref.ref(scenario_grid(SHORT))
+
+    def checking(*args):
+        assert old() is None
+        return propagator(*args)
+
+    monkeypatch.setattr(dynamics, "propagator", checking)
+    scenario_grid(dataclasses.replace(SHORT, t_max=0.04))
+    assert old() is None
 
 
 def test_make_times():

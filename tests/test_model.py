@@ -1,5 +1,6 @@
 """Model inputs: parameters, generator pattern, Born rule, scenarios."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qduet.model import (
     CALPHA2,
     C1,
     C2,
+    MAX_GRID_POINTS,
     PRESETS,
     InitialState,
     ModelParams,
@@ -170,6 +172,23 @@ def test_validate_scenario_grid_rule():
                         t_max=1e-5, dt=1e-4, label="inverted")
     with pytest.raises(ScenarioError):
         validate_scenario(inverted)
+
+
+def test_validate_scenario_grid_size_guard():
+    # validation only: a grid this size is never built here
+    s = PRESETS["fig3-left"]
+    largest = dataclasses.replace(s, t_max=(MAX_GRID_POINTS - 1) * s.dt)
+    assert validate_scenario(largest) is largest
+    too_large = dataclasses.replace(s, t_max=MAX_GRID_POINTS * s.dt)
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(too_large)
+    message = str(err.value)
+    assert f"{MAX_GRID_POINTS + 1} points" in message
+    assert f"{(MAX_GRID_POINTS + 1) * 256:.4g} bytes" in message
+    assert f"t_max may be at most {largest.t_max:.6g}" in message
+    # t_max / dt overflows to inf
+    with pytest.raises(ScenarioError, match="inf points"):
+        validate_scenario(dataclasses.replace(s, t_max=1e300, dt=1e-20))
 
 
 def test_default_dt():

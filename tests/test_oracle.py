@@ -2,11 +2,17 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_dynamics import exceptional_params
+import qduet
+from qduet import dynamics
 from qduet.dynamics import decision_series, make_times, propagator
 from qduet.model import (
     InitialState,
@@ -186,3 +192,38 @@ def test_ltp_residual_oscillates_for_phased_superposition():
     assert R.max() > 0.01
     sign_changes = np.count_nonzero(np.diff(np.sign(R[:, 0])) != 0)
     assert sign_changes > 10
+
+
+def test_phase_sweep_builds_one_grid(monkeypatch):
+    # every step shares params, t_max and dt; only the initial state moves
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return propagator(*args)
+
+    monkeypatch.setattr(dynamics, "propagator", counting)
+    dynamics._grid_slot.clear()
+    base = dataclasses.replace(PRESETS["fig1-left"], t_max=0.05)
+    for theta in np.linspace(0.0, np.pi / 2, 4):
+        phase = np.exp(1j * theta)
+        s = dataclasses.replace(base, initial=InitialState.from_amplitudes(
+            [0.5 * phase, -0.5 * phase, 0.5, -0.5]))
+        decision_series(s)
+        ltp_residual(s)
+    assert len(calls) == 1
+
+
+def test_interference_scan_script_runs():
+    src = Path(qduet.__file__).resolve().parents[1]
+    script = Path(__file__).resolve().parents[1] / "scripts" / "interference_scan.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, str(script), "--steps", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    _, _, *rows, _, sharp = proc.stdout.splitlines()
+    assert len(rows) == 2
+    assert all(len([float(x) for x in row.split()]) == 5 for row in rows)
+    assert sharp.startswith("sharp basis state")
+    assert float(sharp.split("max residual ")[1].split()[0]) == 0.0
