@@ -46,8 +46,9 @@ def main() -> int:
             np.array([0.5 * phase, -0.5 * phase, 0.5, -0.5]))
         s = dataclasses.replace(base, initial=initial,
                                 label=f"scan-{theta:.3f}")
-        _, R = ltp_residual(s)
+        # the run first: ltp_residual then reuses it instead of assembling it again
         noise = noise_metric(decision_series(s), (0.05, 0.25))
+        _, R = ltp_residual(s)
         print(f"{theta / np.pi:>9.3f} {np.abs(R[:, 0]).max():>10.4f} "
               f"{np.abs(R[:, 1]).max():>10.4f} "
               f"{noise[0]:>10.5f} {noise[1]:>10.5f}")

@@ -46,12 +46,19 @@ four law-of-total-probability conditional runs and a sweep over initial
 states share one.  scenario_grid alone builds it and keeps the last one,
 keyed on (params, t_max, dt), with read-only times and V arrays; at most
 one grid is held, and it stays in memory after a run.
+
+A run depends on every scenario field but the label, so decision_series
+keeps its last result too, keyed on (params, t_max, dt, reservoir,
+initial).  Its mu, dmu, nB and n arrays are read-only, like times; a
+repeated call returns the same arrays under the caller's scenario (and
+so the caller's label) instead of assembling them again.  At most one
+series is held, and it is dropped before a different one is assembled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,6 +97,8 @@ _MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])
 
 # the last grid scenario_grid built, under its key; at most one entry
 _grid_slot: dict = {}
+# the last series decision_series assembled, under its key; at most one entry
+_series_slot: dict = {}
 
 
 class NumericalError(RuntimeError):
@@ -324,7 +333,19 @@ def decision_series(s: Scenario) -> DecisionSeries:
     reproduces the Born marginals within 1e-10, and that the decision
     functions stay inside [-1e-8, 1 + 1e-8]; violations raise
     NumericalError with the offending values.
+
+    The last result is kept, keyed on (params, t_max, dt, reservoir,
+    initial): every scenario field but the label, and everything
+    validate_scenario reads.  A call with the same key returns the kept
+    arrays with scenario=s, so the label is always the caller's.  The
+    mu, dmu, nB and n arrays are read-only.  The slot is emptied before
+    a different run is assembled, so a failed run leaves it empty.
     """
+    key = (s.params, s.t_max, s.dt, s.reservoir, s.initial)
+    last = _series_slot.get(key)
+    if last is not None:
+        return replace(last, scenario=s)
+    _series_slot.clear()  # release the old series before assembling the next
     grid = scenario_grid(s)
     mu1, mu2 = mu_player(grid.V, s.initial)
     dmu1, dmu2 = delta_mu(grid.V, s.initial)
@@ -346,4 +367,8 @@ def decision_series(s: Scenario) -> DecisionSeries:
         raise NumericalError(
             f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
             f"range [{low:.6g}, {high:.6g}] (scenario {s.label!r})")
-    return DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=nB, n=n, scenario=s)
+    for values in (mu, dmu, nB, n):
+        values.flags.writeable = False
+    series = DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=nB, n=n, scenario=s)
+    _series_slot[key] = series
+    return series

@@ -33,6 +33,10 @@ whole production runs:
     that identity.  Each of the five runs is a full decision_series call
     (mu, dmu, bath, run-time checks), so R never reads dmu; they differ
     only in the initial state, so dynamics builds their propagator once.
+    The four conditional runs do not depend on the state under test, so
+    their n is kept, read-only, keyed on (params, t_max, dt, reservoir):
+    a sweep over initial states or a second scenario that differs only
+    in its initial state runs them once.
 
 Matrix residuals use the maximum absolute entry as the norm, which is
 cheap and adequate for fixed 4x4 operators.
@@ -54,6 +58,10 @@ __all__ = [
     "propagator_residual",
     "ltp_residual",
 ]
+
+# ltp_residual's last four conditional runs' n, stacked in basis order
+# phi_00, phi_10, phi_01, phi_11, under their key; at most one entry
+_conditional_slot: dict = {}
 
 
 def closed_hamiltonian(params: ModelParams) -> np.ndarray:
@@ -120,14 +128,29 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
     The residual vanishes identically for basis-state initial conditions
     and reproduces the interference part dmu_j for superpositions.
+
+    The conditional runs' n is kept as a read-only (4, nt, 2) stack,
+    keyed on (s.params, s.t_max, s.dt, s.reservoir).  The first time a
+    key is seen, each conditional run is a full decision_series call
+    with its run-time checks; a NumericalError there leaves nothing
+    kept.  The slot is emptied before a different key runs.
     """
     series = decision_series(s)
+    key = (s.params, s.t_max, s.dt, s.reservoir)
+    conditional_n = _conditional_slot.get(key)
+    if conditional_n is None:
+        _conditional_slot.clear()  # release the old stack before the next
+        conditional_n = np.empty((4, *series.n.shape))
+        for idx in range(4):
+            k, l = idx % 2, idx // 2
+            conditional = dataclasses.replace(
+                s, initial=InitialState.basis_state(k, l),
+                label=f"{s.label}|phi{k}{l}")
+            conditional_n[idx] = decision_series(conditional).n
+        conditional_n.flags.writeable = False
+        _conditional_slot[key] = conditional_n
     weights = np.abs(s.initial.amplitudes) ** 2
     classical = np.zeros_like(series.n)
-    for idx, w in enumerate(weights):
-        k, l = idx % 2, idx // 2
-        conditional = dataclasses.replace(
-            s, initial=InitialState.basis_state(k, l),
-            label=f"{s.label}|phi{k}{l}")
-        classical += w * decision_series(conditional).n
+    for w, n in zip(weights, conditional_n):
+        classical += w * n
     return series.times, series.n - classical

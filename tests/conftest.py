@@ -4,8 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qduet import dynamics, oracle
 from qduet.dynamics import decision_series
 from qduet.model import PRESETS
+
+
+def empty_slots():
+    """Drop the kept grid, series and conditional runs."""
+    dynamics._grid_slot.clear()
+    dynamics._series_slot.clear()
+    oracle._conditional_slot.clear()
+
+
+@pytest.fixture(autouse=True)
+def clear_slots():
+    """Start every test with no kept grid, series or conditional runs."""
+    empty_slots()
 
 
 @st.composite

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import empty_slots
 from qduet import dynamics, oracle
 from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv
-from qduet.dynamics import decision_series, propagator
+from qduet.dynamics import bath_contribution, decision_series, propagator
 from qduet.model import PRESETS, ScenarioError, save_scenario, scenario_to_dict
 
 
@@ -201,26 +202,38 @@ def test_all_presets_conflicts_with_single_source(capsys):
 
 
 def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):
-    # the run, --oracle and the four LTP conditionals share one grid
-    calls = []
+    # the run, --oracle and the four LTP conditionals share one grid; each
+    # distinct run is assembled once (one bath_contribution call each):
+    # --ltp reuses the run itself, and fig*-right reuses fig*-left's
+    # conditional runs
+    builds, assemblies = [], []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        builds.append(1)
         return propagator(*args, **kwargs)
 
+    def counting_bath(*args):
+        assemblies.append(1)
+        return bath_contribution(*args)
+
     monkeypatch.setattr(dynamics, "propagator", counting)
-    argv = ["--preset", "fig6-left", "--t-max", "0.05", "--no-csv",
-            "--out", str(tmp_path)]
-    for extra in ([], ["--ltp", "--oracle"]):
-        dynamics._grid_slot.clear()
-        calls.clear()
-        code, _, err = run_cli(argv + extra, capsys)
+    monkeypatch.setattr(dynamics, "bath_contribution", counting_bath)
+    common = ["--t-max", "0.05", "--no-csv", "--out", str(tmp_path)]
+    one = ["--preset", "fig6-left"]
+    for argv, n_builds, n_assemblies in ((one, 1, 1),
+                                         (one + ["--ltp", "--oracle"], 1, 5),
+                                         (["--all-presets", "--ltp"], 3, 24)):
+        empty_slots()
+        builds.clear()
+        assemblies.clear()
+        code, _, err = run_cli(argv + common, capsys)
         assert code == 0, err
-        assert len(calls) == 1
-    dynamics._grid_slot.clear()
-    calls.clear()
+        assert (len(builds), len(assemblies)) == (n_builds, n_assemblies)
+    empty_slots()
+    builds.clear()
+    assemblies.clear()
     oracle.ltp_residual(PRESETS["fig6-right"])
-    assert len(calls) == 1
+    assert (len(builds), len(assemblies)) == (1, 5)
 
 
 def test_grid_too_large_is_config_error(tmp_path, capsys):

@@ -9,11 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import empty_slots
 from test_dynamics import exceptional_params
 import qduet
-from qduet import dynamics
-from qduet.dynamics import decision_series, make_times, propagator
+from qduet import dynamics, oracle
+from qduet.dynamics import (
+    NumericalError,
+    bath_contribution,
+    decision_series,
+    make_times,
+    propagator,
+)
 from qduet.model import (
     InitialState,
     ModelParams,
@@ -195,15 +204,21 @@ def test_ltp_residual_oscillates_for_phased_superposition():
 
 
 def test_phase_sweep_builds_one_grid(monkeypatch):
-    # every step shares params, t_max and dt; only the initial state moves
-    calls = []
+    # every step shares params, t_max and dt; only the initial state moves.
+    # Each step assembles its own run once (ltp_residual reuses it), and
+    # the four conditional runs are assembled on the first step only.
+    builds, assemblies = [], []
 
     def counting(*args):
-        calls.append(1)
+        builds.append(1)
         return propagator(*args)
 
+    def counting_bath(*args):
+        assemblies.append(1)
+        return bath_contribution(*args)
+
     monkeypatch.setattr(dynamics, "propagator", counting)
-    dynamics._grid_slot.clear()
+    monkeypatch.setattr(dynamics, "bath_contribution", counting_bath)
     base = dataclasses.replace(PRESETS["fig1-left"], t_max=0.05)
     for theta in np.linspace(0.0, np.pi / 2, 4):
         phase = np.exp(1j * theta)
@@ -211,7 +226,80 @@ def test_phase_sweep_builds_one_grid(monkeypatch):
             [0.5 * phase, -0.5 * phase, 0.5, -0.5]))
         decision_series(s)
         ltp_residual(s)
-    assert len(calls) == 1
+    assert (len(builds), len(assemblies)) == (1, 8)
+
+
+# scenarios that differ from SLOT_BASE in one field each, the label included
+SLOT_BASE = dataclasses.replace(
+    base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5)), t_max=0.05, dt=2e-3)
+SLOT_POOL = [SLOT_BASE] + [dataclasses.replace(SLOT_BASE, **change) for change in (
+    {"initial": InitialState(0.5, 0.5, 0.5, 0.5)},
+    {"initial": InitialState.basis_state(1, 0)},
+    {"reservoir": ReservoirState(1.0, 0.3)},
+    {"params": dataclasses.replace(SLOT_BASE.params, mu_ex=3.0)},
+    {"t_max": 0.04},
+    {"dt": 1e-3},
+    {"label": "relabelled"},
+)]
+
+
+def _slot_call(op, s):
+    if op == "series":
+        series = decision_series(s)
+        assert series.scenario is s
+        for values in (series.mu, series.dmu, series.nB, series.n):
+            with pytest.raises(ValueError):
+                values[0, 0] = 0.5
+        return series.times, series.mu, series.dmu, series.nB, series.n
+    return ltp_residual(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(st.tuples(st.sampled_from(["series", "ltp"]),
+                                st.integers(0, len(SLOT_POOL) - 1)),
+                      min_size=1, max_size=10))
+def test_kept_runs_match_fresh_runs(calls):
+    # any interleaving of runs and LTP residuals returns what the same call
+    # returns with nothing kept
+    fresh = {}
+    for op, i in set(calls):
+        empty_slots()
+        fresh[op, i] = _slot_call(op, SLOT_POOL[i])
+    empty_slots()
+    for op, i in calls:
+        result = _slot_call(op, SLOT_POOL[i])
+        assert all(np.array_equal(a, b) for a, b in zip(result, fresh[op, i]))
+        for slot in (dynamics._grid_slot, dynamics._series_slot,
+                     oracle._conditional_slot):
+            assert len(slot) <= 1
+        for stack in oracle._conditional_slot.values():
+            assert not stack.flags.writeable
+
+
+def test_failed_conditional_run_keeps_nothing(monkeypatch):
+    s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5))
+    _, expected = ltp_residual(s)
+    empty_slots()
+    decision_series(s)  # kept, so the first attempt fails in a conditional run
+    assemblies = []
+
+    def every_second_fails(*args):
+        assemblies.append(1)
+        if len(assemblies) % 2 == 0:
+            raise NumericalError("injected failure")
+        return bath_contribution(*args)
+
+    monkeypatch.setattr(dynamics, "bath_contribution", every_second_fails)
+    # attempt 1: phi00 assembles, phi10 fails; attempt 2: the run itself
+    # assembles again (the failed run emptied the series slot), phi00 fails
+    for attempt in (1, 2):
+        with pytest.raises(NumericalError, match="injected failure"):
+            ltp_residual(s)
+        assert len(assemblies) == 2 * attempt
+        assert oracle._conditional_slot == {}
+    monkeypatch.undo()
+    _, R = ltp_residual(s)
+    assert np.array_equal(R, expected)
 
 
 def test_interference_scan_script_runs():
