@@ -38,7 +38,6 @@ from .model import (
     C1,
     C2,
     PRESETS,
-    EvolutionGenerator,
     InitialState,
     ModelParams,
     ReservoirState,
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "build_basis", "build_mode_operators", "number_operators", "car_residual",
-    "ModelParams", "ReservoirState", "InitialState", "EvolutionGenerator",
+    "ModelParams", "ReservoirState", "InitialState",
     "Scenario", "ScenarioError", "build_generator", "born_probabilities",
     "is_entangled", "validate_scenario", "default_dt",
     "load_scenario", "save_scenario",

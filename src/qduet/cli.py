@@ -50,7 +50,6 @@ from .model import (
     build_generator,
     is_entangled,
     load_scenario,
-    validate_scenario,
 )
 
 __all__ = ["main", "build_parser", "write_csv", "read_csv", "write_svg"]
@@ -245,7 +244,7 @@ def _outcome_line(o: analysis.DecisionOutcome) -> str:
 
 
 def run_one(s: Scenario, args: argparse.Namespace) -> None:
-    """Simulate one validated scenario and emit files and report lines."""
+    """Simulate one scenario and emit files and report lines."""
     series = decision_series(s)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,8 +324,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     grid = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt))
             if v is not None}
-    scenarios = [validate_scenario(dataclasses.replace(s, **grid))
-                 for s in scenarios]
+    scenarios = [dataclasses.replace(s, **grid) for s in scenarios]
     # check the analysis settings before any run writes a file
     if not 0.0 < args.tail < 1.0:
         raise ScenarioError(f"--tail must lie in (0, 1), got {args.tail}")

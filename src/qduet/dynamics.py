@@ -29,7 +29,8 @@ for a Hermitian 4x4 weight W:
     solution X obeys A X + X A^dag = 0, is constant under the flow and
     cancels.
 
-The propagator is computed from one eigendecomposition of U per scenario,
+U is build_generator's plain 4x4 array, and the propagator is computed
+from one eigendecomposition of it per scenario,
 V(t) = P diag(exp(i w t)) P^-1, which costs O(1) linear algebra plus O(nt)
 phase arithmetic for the whole grid.  U is not normal once damping and
 couplings compete, so the eigenvector matrix can be ill-conditioned near
@@ -41,11 +42,12 @@ V(t_k) = V(t_{qB}) V(t_b): two stacks of about sqrt(nt) exponentials,
 each from one batched scaling-and-squaring Taylor series, then one
 batched product.
 
-A scenario's grid depends only on (params, t_max, dt), so a run, its
-four law-of-total-probability conditional runs and a sweep over initial
-states share one.  scenario_grid alone builds it and keeps the last one,
-keyed on (params, t_max, dt), with read-only times and V arrays; at most
-one grid is held, and it stays in memory after a run.
+A Scenario is valid by construction, so nothing here validates it
+again.  A scenario's grid depends only on (params, t_max, dt), so a run,
+its four law-of-total-probability conditional runs and a sweep over
+initial states share one.  scenario_grid alone builds it and keeps the
+last one, keyed on (params, t_max, dt), with read-only times and V
+arrays; at most one grid is held, and it stays in memory after a run.
 
 A run depends on every scenario field but the label, so decision_series
 keeps its last result too, keyed on (params, t_max, dt, reservoir,
@@ -64,14 +66,12 @@ import numpy as np
 
 from .algebra import build_mode_operators
 from .model import (
-    EvolutionGenerator,
     InitialState,
     ModelParams,
     ReservoirState,
     Scenario,
     born_probabilities,
     build_generator,
-    validate_scenario,
 )
 
 __all__ = [
@@ -171,7 +171,7 @@ def _check_times(times: np.ndarray) -> float:
     return dt
 
 
-def propagator(gen: EvolutionGenerator, times: np.ndarray) -> PropagatorGrid:
+def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
     """Evaluate V(t) = exp(i U t) on the whole grid.
 
     Route 1: one eigendecomposition U = P diag(w) P^-1, then
@@ -183,7 +183,7 @@ def propagator(gen: EvolutionGenerator, times: np.ndarray) -> PropagatorGrid:
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
-    U = np.asarray(gen.U, dtype=complex)
+    U = np.asarray(U, dtype=complex)
     if not np.all(np.isfinite(U)):
         raise ValueError("generator contains non-finite entries")
 
@@ -286,7 +286,7 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
     nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) with N the least-squares
     solution of A N + N A^dag = D, exact on either propagator route.
     """
-    A = 1j * build_generator(params).U
+    A = 1j * build_generator(params)
     k1 = params.lambda1 ** 2 / params.Omega1
     k2 = params.lambda2 ** 2 / params.Omega2
     N1, N2 = reservoir.N1, reservoir.N2
@@ -302,16 +302,15 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
 
 
 def scenario_grid(s: Scenario) -> PropagatorGrid:
-    """Validate s and return propagator(build_generator(s.params),
-    make_times(s.t_max, s.dt)), reusing the last grid built.
+    """The propagator grid of s, reusing the last grid built.
 
-    The cache key is (s.params, s.t_max, s.dt), so scenarios that differ
-    only in reservoir, initial state or label share a grid.  The one slot
-    is emptied before a different grid is built, so at most one grid is
-    ever held, and it stays in memory after the run.  Its times and V
-    arrays are read-only.
+    The grid is propagator(build_generator(s.params),
+    make_times(s.t_max, s.dt)).  The cache key is (s.params, s.t_max,
+    s.dt), so scenarios that differ only in reservoir, initial state or
+    label share a grid.  The one slot is emptied before a different grid
+    is built, so at most one grid is ever held, and it stays in memory
+    after the run.  Its times and V arrays are read-only.
     """
-    validate_scenario(s)
     key = (s.params, s.t_max, s.dt)
     grid = _grid_slot.get(key)
     if grid is None:
@@ -324,7 +323,7 @@ def scenario_grid(s: Scenario) -> PropagatorGrid:
 
 
 def decision_series(s: Scenario) -> DecisionSeries:
-    """Run a scenario: validate, propagate, assemble n_j = mu + dmu + nB.
+    """Run a scenario: propagate, assemble n_j = mu + dmu + nB.
 
     The propagator comes from scenario_grid(s), keyed on (params, t_max,
     dt), and stays in memory after the run; the returned times array is

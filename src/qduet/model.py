@@ -21,8 +21,13 @@ assembled from the effective complex frequencies
 
 The real part of nu_j is the bath-induced damping rate
 Gamma_j = pi lambda_j**2 / Omega_j; the imaginary part is the bare
-inertia.  build_generator produces U in the fixed entry pattern used
-throughout this package.
+inertia.  build_generator returns U as a plain 4x4 complex array in the
+fixed entry pattern used throughout this package.
+
+Every model dataclass checks its invariants when it is constructed,
+Scenario included: a Scenario, or a dataclasses.replace of one, is valid
+by construction, so no caller validates it again.  validate_scenario is
+the named check that Scenario runs.
 
 The grid rule dt * f_max <= 0.1 keeps the fastest frequency in the
 problem (couplings, inertias or damping rates) sampled at sixty or more
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +51,6 @@ __all__ = [
     "ModelParams",
     "ReservoirState",
     "InitialState",
-    "EvolutionGenerator",
     "Scenario",
     "build_generator",
     "born_probabilities",
@@ -69,6 +73,8 @@ GRID_RULE = 0.1
 # 2**22 grid points keep the propagator array (4x4 complex, 256 B per
 # point) within 1 GiB
 MAX_GRID_POINTS = 2 ** 22
+# relative tolerance on t_max / dt being a whole number of steps
+STEP_TOL = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -101,9 +107,8 @@ class ModelParams:
     mu_coop: float
 
     def __post_init__(self) -> None:
-        for name in ("omega1", "omega2", "Omega1", "Omega2",
-                     "lambda1", "lambda2", "mu_ex", "mu_coop"):
-            _require_finite(name, getattr(self, name))
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if self.Omega1 <= 0 or self.Omega2 <= 0:
             raise ScenarioError(
                 f"dispersion slopes must be positive, got "
@@ -135,11 +140,11 @@ class ReservoirState:
     N2: float
 
     def __post_init__(self) -> None:
-        for name in ("N1", "N2"):
-            value = getattr(self, name)
-            _require_finite(name, value)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _require_finite(f.name, value)
             if not 0.0 <= value <= 1.0:
-                raise ScenarioError(f"{name} must lie in [0, 1], got {value}")
+                raise ScenarioError(f"{f.name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -181,37 +186,26 @@ class InitialState:
         return cls.from_amplitudes(a)
 
 
-@dataclass(frozen=True)
-class EvolutionGenerator:
-    """Constant generator U of the reduced mode dynamics db/dt = i U b.
+def build_generator(params: ModelParams) -> np.ndarray:
+    """Generator U of the reduced mode dynamics db/dt = i U b.
 
-    nu1, nu2 are the effective complex frequencies
-    nu_j = i omega_j + pi lambda_j^2 / Omega_j.  U is 4x4 complex with the
-    fixed entry pattern
+    With the effective complex frequencies
+    nu_j = i omega_j + pi lambda_j^2 / Omega_j, U is the 4x4 complex array
 
         [[ i nu1,   -mu_ex,   0,          -mu_coop],
          [-mu_ex,    i nu2,   mu_coop,     0      ],
          [ 0,        mu_coop, i conj(nu1), mu_ex  ],
          [-mu_coop,  0,       mu_ex,       i conj(nu2)]].
     """
-
-    U: np.ndarray
-    nu1: complex
-    nu2: complex
-
-
-def build_generator(params: ModelParams) -> EvolutionGenerator:
-    """Assemble the reduced evolution generator from the model parameters."""
     nu1 = 1j * params.omega1 + params.gamma1
     nu2 = 1j * params.omega2 + params.gamma2
     mx, mc = params.mu_ex, params.mu_coop
-    U = np.array([
+    return np.array([
         [1j * nu1, -mx, 0.0, -mc],
         [-mx, 1j * nu2, mc, 0.0],
         [0.0, mc, 1j * np.conj(nu1), mx],
         [-mc, 0.0, mx, 1j * np.conj(nu2)],
     ], dtype=complex)
-    return EvolutionGenerator(U=U, nu1=complex(nu1), nu2=complex(nu2))
 
 
 def born_probabilities(initial: InitialState) -> tuple[float, float, float, float]:
@@ -240,7 +234,10 @@ def is_entangled(initial: InitialState, tol: float = 1e-12) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, runnable simulation specification."""
+    """A complete, runnable simulation specification.
+
+    Construction runs validate_scenario, so every instance is valid.
+    """
 
     params: ModelParams
     reservoir: ReservoirState
@@ -248,6 +245,9 @@ class Scenario:
     t_max: float
     dt: float
     label: str = "scenario"
+
+    def __post_init__(self) -> None:
+        validate_scenario(self)
 
 
 def default_dt(params: ModelParams) -> float:
@@ -262,9 +262,11 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     Raises ScenarioError on domain violations, on a non-positive or
     non-ordered grid, on a grid too coarse for the fastest frequency
-    (dt * f_max must stay below 0.1; the message reports the required dt)
-    and on a grid of more than MAX_GRID_POINTS points (the message reports
-    the propagator bytes and the largest t_max allowed at that dt).
+    (dt * f_max must stay below 0.1; the message reports the required dt),
+    on a grid of more than MAX_GRID_POINTS points (the message reports
+    the propagator bytes and the largest t_max allowed at that dt) and on
+    a t_max that is not a whole number of dt steps within a relative
+    1e-9 (the message reports the nearest t_max that is).
     """
     _require_finite("t_max", s.t_max)
     _require_finite("dt", s.dt)
@@ -285,7 +287,12 @@ def validate_scenario(s: Scenario) -> Scenario:
         raise ScenarioError(
             f"grid too large: {nt} points, whose propagator would take "
             f"{nt * 256:.4g} bytes; at dt={s.dt:g} t_max may be at most "
-            f"{(MAX_GRID_POINTS - 1) * s.dt:.6g} ({MAX_GRID_POINTS} points)")
+            f"{(MAX_GRID_POINTS - 1) * s.dt:.12g} ({MAX_GRID_POINTS} points)")
+    if abs(steps - round(steps)) > STEP_TOL * steps:
+        raise ScenarioError(
+            f"t_max={s.t_max} is not a whole number of dt={s.dt} steps "
+            f"({steps:.6g}); the nearest valid t_max is "
+            f"{round(steps) * s.dt:.12g}")
     return s
 
 
@@ -325,17 +332,20 @@ PRESETS: dict[str, Scenario] = {
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Plain-data form of a scenario (JSON-ready)."""
-    p, r, a = s.params, s.reservoir, s.initial.amplitudes
+    """Plain-data form of a scenario (JSON-ready).
+
+    The parameter and reservoir keys are their dataclass field names.
+    """
     return {
-        "omega1": p.omega1, "omega2": p.omega2,
-        "Omega1": p.Omega1, "Omega2": p.Omega2,
-        "lambda1": p.lambda1, "lambda2": p.lambda2,
-        "mu_ex": p.mu_ex, "mu_coop": p.mu_coop,
-        "N1": r.N1, "N2": r.N2,
-        "alpha": [[float(z.real), float(z.imag)] for z in a],
+        **asdict(s.params), **asdict(s.reservoir),
+        "alpha": [[float(z.real), float(z.imag)] for z in s.initial.amplitudes],
         "t_max": s.t_max, "dt": s.dt, "label": s.label,
     }
+
+
+def _from_fields(cls, d: dict):
+    """cls built from the values of d under its field names, as floats."""
+    return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -345,16 +355,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         if len(alpha) != 4:
             raise ScenarioError(f"alpha must hold 4 [re, im] pairs, got {len(alpha)}")
         amps = [complex(float(re), float(im)) for re, im in alpha]
-        params = ModelParams(
-            omega1=float(d["omega1"]), omega2=float(d["omega2"]),
-            Omega1=float(d["Omega1"]), Omega2=float(d["Omega2"]),
-            lambda1=float(d["lambda1"]), lambda2=float(d["lambda2"]),
-            mu_ex=float(d["mu_ex"]), mu_coop=float(d["mu_coop"]),
-        )
-        reservoir = ReservoirState(N1=float(d["N1"]), N2=float(d["N2"]))
-        initial = InitialState.from_amplitudes(amps)
-        s = Scenario(
-            params=params, reservoir=reservoir, initial=initial,
+        return Scenario(
+            params=_from_fields(ModelParams, d),
+            reservoir=_from_fields(ReservoirState, d),
+            initial=InitialState.from_amplitudes(amps),
             t_max=float(d["t_max"]), dt=float(d["dt"]),
             label=str(d.get("label", "scenario")),
         )
@@ -364,7 +368,6 @@ def scenario_from_dict(d: dict) -> Scenario:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
-    return validate_scenario(s)
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

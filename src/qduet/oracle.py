@@ -50,7 +50,7 @@ import numpy as np
 
 from . import algebra
 from .dynamics import PropagatorGrid, decision_series
-from .model import EvolutionGenerator, InitialState, ModelParams, Scenario
+from .model import InitialState, ModelParams, Scenario
 
 __all__ = [
     "closed_hamiltonian",
@@ -59,7 +59,7 @@ __all__ = [
     "ltp_residual",
 ]
 
-# ltp_residual's last four conditional runs' n, stacked in basis order
+# ltp_residual's last four conditional runs' n, a tuple in basis order
 # phi_00, phi_10, phi_01, phi_11, under their key; at most one entry
 _conditional_slot: dict = {}
 
@@ -102,7 +102,7 @@ def exact_closed_evolution(params: ModelParams, initial: InitialState,
     return n1, n2
 
 
-def propagator_residual(gen: EvolutionGenerator, grid: PropagatorGrid) -> float:
+def propagator_residual(U: np.ndarray, grid: PropagatorGrid) -> float:
     """Max norm of the central-difference defect of dV/dt = i U V.
 
     Evaluated on the interior grid points; needs at least 3 points.  The
@@ -115,7 +115,7 @@ def propagator_residual(gen: EvolutionGenerator, grid: PropagatorGrid) -> float:
         raise ValueError("residual needs at least 3 grid points")
     dt = times[1] - times[0]
     dV = (V[2:] - V[:-2]) / (2.0 * dt)
-    defect = dV - 1j * np.einsum("ab,tbc->tac", gen.U, V[1:-1])
+    defect = dV - 1j * np.einsum("ab,tbc->tac", U, V[1:-1])
     return float(np.abs(defect).max())
 
 
@@ -129,25 +129,22 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     The residual vanishes identically for basis-state initial conditions
     and reproduces the interference part dmu_j for superpositions.
 
-    The conditional runs' n is kept as a read-only (4, nt, 2) stack,
-    keyed on (s.params, s.t_max, s.dt, s.reservoir).  The first time a
-    key is seen, each conditional run is a full decision_series call
-    with its run-time checks; a NumericalError there leaves nothing
-    kept.  The slot is emptied before a different key runs.
+    The conditional runs' read-only n arrays are kept as a tuple, keyed
+    on (s.params, s.t_max, s.dt, s.reservoir).  The first time a key is
+    seen, each conditional run is a full decision_series call with its
+    run-time checks; a NumericalError there leaves nothing kept.  The
+    slot is emptied before a different key runs.
     """
     series = decision_series(s)
     key = (s.params, s.t_max, s.dt, s.reservoir)
     conditional_n = _conditional_slot.get(key)
     if conditional_n is None:
-        _conditional_slot.clear()  # release the old stack before the next
-        conditional_n = np.empty((4, *series.n.shape))
-        for idx in range(4):
-            k, l = idx % 2, idx // 2
-            conditional = dataclasses.replace(
+        _conditional_slot.clear()  # release the old runs before the next
+        conditional_n = tuple(
+            decision_series(dataclasses.replace(
                 s, initial=InitialState.basis_state(k, l),
-                label=f"{s.label}|phi{k}{l}")
-            conditional_n[idx] = decision_series(conditional).n
-        conditional_n.flags.writeable = False
+                label=f"{s.label}|phi{k}{l}")).n
+            for l in (0, 1) for k in (0, 1))
         _conditional_slot[key] = conditional_n
     weights = np.abs(s.initial.amplitudes) ** 2
     classical = np.zeros_like(series.n)

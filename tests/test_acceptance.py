@@ -67,9 +67,9 @@ def test_criterion_1_operator_algebra():
 def test_criterion_2_propagator():
     t0 = perf_counter()
     s = PRESETS["fig1-left"]
-    gen = build_generator(s.params)
+    U = build_generator(s.params)
 
-    grid = propagator(gen, make_times(s.t_max, 1e-4))
+    grid = propagator(U, make_times(s.t_max, 1e-4))
     v0_dev = np.abs(grid.V[0] - np.eye(4)).max()
     semigroup = max(
         np.abs(grid.V[i] @ grid.V[j] - grid.V[i + j]).max()
@@ -77,8 +77,8 @@ def test_criterion_2_propagator():
 
     residuals = []
     for dt in (2e-4, 1e-4, 5e-5):
-        g = propagator(gen, make_times(s.t_max, dt))
-        residuals.append(propagator_residual(gen, g))
+        g = propagator(U, make_times(s.t_max, dt))
+        residuals.append(propagator_residual(U, g))
     ratio_a = residuals[0] / residuals[1]
     ratio_b = residuals[1] / residuals[2]
     elapsed = perf_counter() - t0
@@ -133,7 +133,7 @@ def test_criterion_4_decoupled_closed_form():
     params = ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1, Omega2=0.1,
                          lambda1=0.5, lambda2=0.0, mu_ex=0.0, mu_coop=0.0)
     gamma1 = params.gamma1
-    t_max = 10.0 / gamma1
+    t_max = round(10.0 / gamma1, 4)  # a whole number of dt = 1e-4 steps
     worst_curve = 0.0
     worst_tail = 0.0
     for N1 in (0.0, 0.5, 1.0):

@@ -172,7 +172,7 @@ def test_asymptotics_decoupled_limit():
                          lambda1=0.5, lambda2=0.0, mu_ex=0.0, mu_coop=0.0)
     s = Scenario(params=params, reservoir=ReservoirState(0.75, 0.0),
                  initial=InitialState.basis_state(1, 0),
-                 t_max=10.0 / params.gamma1, dt=1e-4, label="relax")
+                 t_max=round(10.0 / params.gamma1, 4), dt=1e-4, label="relax")
     report = asymptotics(decision_series(s), tail_fraction=0.1)
     assert report.mean[0] == pytest.approx(0.75, abs=1e-3)
     assert report.converged[0]

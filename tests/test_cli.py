@@ -172,9 +172,9 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
     (["--epsilon", "nan"], "epsilon must be positive"),
     (["--tail", "2"], "--tail"),
     (["--all-presets", "--t-max", "0.2", "--window", "0.3"], "exceeds"),
-    # the grid of t_max 0.5 and dt 0.4 ends at 0.4
+    # dt 0.4 does not divide t_max 0.5, so the grid could not end at 0.5
     (["--t-max", "0.5", "--dt", "0.4", "--window", "0.5"],
-     "exceeds the run length 0.4"),
+     "the nearest valid t_max is 0.4"),
 ])
 def test_bad_analysis_setting_is_config_error(tmp_path, capsys, flags, message):
     if "--all-presets" in flags:

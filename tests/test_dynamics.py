@@ -28,7 +28,6 @@ from qduet.dynamics import (
 )
 from qduet.model import (
     PRESETS,
-    EvolutionGenerator,
     InitialState,
     ModelParams,
     ReservoirState,
@@ -118,18 +117,18 @@ def test_make_times():
 
 
 def test_propagator_identity_at_zero():
-    gen = build_generator(make_params(mu_ex=500.0))
-    grid = propagator(gen, make_times(0.01, 1e-4))
+    U = build_generator(make_params(mu_ex=500.0))
+    grid = propagator(U, make_times(0.01, 1e-4))
     assert np.abs(grid.V[0] - np.eye(4)).max() <= 1e-12
     assert not grid.used_fallback
 
 
 def test_propagator_free_case_diagonal_phases():
     w1, w2 = 1.3, 0.7
-    gen = build_generator(make_params(omega1=w1, omega2=w2,
+    U = build_generator(make_params(omega1=w1, omega2=w2,
                                       lambda1=0.0, lambda2=0.0))
     times = make_times(2.0, 1e-2)
-    grid = propagator(gen, times)
+    grid = propagator(U, times)
     expected = np.zeros((len(times), 4, 4), dtype=complex)
     for k, w in enumerate((-w1, -w2, w1, w2)):
         expected[:, k, k] = np.exp(1j * w * times)
@@ -145,10 +144,10 @@ def test_propagator_decoupled_damping_magnitude():
 
 
 def test_propagator_semigroup_on_stiff_preset():
-    gen = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
+    U = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
                                       Omega2=0.1, lambda1=0.5, lambda2=0.5,
                                       mu_ex=500.0, mu_coop=0.0))
-    grid = propagator(gen, make_times(0.5, 1e-4))
+    grid = propagator(U, make_times(0.5, 1e-4))
     for i, j in ((1234, 2345), (100, 4000), (2500, 2500)):
         dev = np.abs(grid.V[i] @ grid.V[j] - grid.V[i + j]).max()
         assert dev <= 1e-9
@@ -157,25 +156,25 @@ def test_propagator_semigroup_on_stiff_preset():
 @given(params=params_strategy)
 @settings(deadline=None, max_examples=30)
 def test_propagator_semigroup_property(params):
-    gen = build_generator(params)
-    grid = propagator(gen, make_times(0.4, 1e-2))
+    U = build_generator(params)
+    grid = propagator(U, make_times(0.4, 1e-2))
     if not grid.used_fallback:
         # near eigenvalue coalescence the spectral route loses digits
         # before the fallback threshold; keep the property test away from
         # that regime, it is exercised separately
-        assume(np.linalg.cond(np.linalg.eig(gen.U)[1]) < 1e4)
+        assume(np.linalg.cond(np.linalg.eig(U)[1]) < 1e4)
     for i, j in ((3, 5), (10, 17), (20, 20)):
         assert np.abs(grid.V[i] @ grid.V[j] - grid.V[i + j]).max() <= 1e-9
 
 
 def test_propagator_rejects_bad_grids():
-    gen = build_generator(make_params())
+    U = build_generator(make_params())
     with pytest.raises(ValueError):
-        propagator(gen, np.array([0.0]))
+        propagator(U, np.array([0.0]))
     with pytest.raises(ValueError):
-        propagator(gen, np.array([0.1, 0.2, 0.3]))
+        propagator(U, np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
-        propagator(gen, np.array([0.0, 0.1, 0.15]))
+        propagator(U, np.array([0.0, 0.1, 0.15]))
 
 
 def test_propagator_fallback_on_defective_generator():
@@ -183,9 +182,8 @@ def test_propagator_fallback_on_defective_generator():
     # fallback exponential is exact there: e^{iUt} = 1 + iUt
     U = np.zeros((4, 4), dtype=complex)
     U[0, 1] = 1.0
-    gen = EvolutionGenerator(U=U, nu1=0.0, nu2=0.0)
     times = make_times(1.0, 0.1)
-    grid = propagator(gen, times)
+    grid = propagator(U, times)
     assert grid.used_fallback
     expected = np.eye(4)[None, :, :] + 1j * U[None, :, :] * times[:, None, None]
     assert np.abs(grid.V - expected).max() <= 1e-12
@@ -196,9 +194,8 @@ def test_propagator_table_squares_large_steps():
     # the table need 6 to 8 squarings; e^{iUt} = 1 + iUt - (Ut)^2 / 2
     U = np.zeros((4, 4), dtype=complex)
     U[0, 1] = U[1, 2] = 25.0
-    gen = EvolutionGenerator(U=U, nu1=0.0, nu2=0.0)
     times = make_times(10.0, 0.5)
-    grid = propagator(gen, times)
+    grid = propagator(U, times)
     assert grid.used_fallback
     iUt = 1j * U[None, :, :] * times[:, None, None]
     expected = np.eye(4) + iUt + iUt @ iUt / 2.0
@@ -218,13 +215,13 @@ exceptional_detunes = st.one_of(
        t_max=st.floats(0.5, 20.0))
 @settings(deadline=None, max_examples=80)
 def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max):
-    gen = build_generator(exceptional_params(detune, g1, g2, omega))
+    U = build_generator(exceptional_params(detune, g1, g2, omega))
     times = make_times(t_max, t_max / 2000)
-    grid = propagator(gen, times)
+    grid = propagator(U, times)
 
     # the documented trigger: cond(P) > 1e8, or the eigen route's V(0)
     # missing the identity by more than 1e-12
-    w, P = np.linalg.eig(np.asarray(gen.U, dtype=complex))
+    w, P = np.linalg.eig(np.asarray(U, dtype=complex))
     cond = np.linalg.cond(P)
     V0 = np.einsum("ab,tb,bc->tac", P, np.exp(1j * np.outer(times[:1], w)),
                    np.linalg.inv(P))[0]
@@ -236,7 +233,7 @@ def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max)
     if not grid.used_fallback:
         tol = max(tol, 4 * np.finfo(float).eps * cond)
     for i in np.linspace(0, len(times) - 1, 20).astype(int):
-        assert np.abs(grid.V[i] - expm(1j * gen.U * times[i])).max() <= tol
+        assert np.abs(grid.V[i] - expm(1j * U * times[i])).max() <= tol
 
 
 def test_propagator_fallback_near_eigenvalue_coalescence():
@@ -312,7 +309,7 @@ def test_bath_contribution_matches_block_exponential(scenario):
     assert grid.used_fallback == (scenario == "exceptional-point")
     nB1, nB2 = bath_contribution(reservoir, params, grid)
 
-    A = 1j * build_generator(params).U
+    A = 1j * build_generator(params)
     k1 = params.lambda1 ** 2 / params.Omega1
     k2 = params.lambda2 ** 2 / params.Omega2
     N1, N2 = reservoir.N1, reservoir.N2

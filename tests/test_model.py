@@ -1,6 +1,7 @@
 """Model inputs: parameters, generator pattern, Born rule, scenarios."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -52,28 +53,30 @@ params_strategy = st.builds(
 
 
 def test_generator_first_parameter_set():
-    gen = build_generator(ModelParams(mu_ex=500.0, mu_coop=0.0, **C1))
-    assert abs(gen.nu1 - (1j + 2.5 * math.pi)) <= TOL
-    assert abs(gen.nu2 - (2j + 2.5 * math.pi)) <= TOL
-    assert abs(gen.U[0, 0] - 1j * gen.nu1) <= TOL
-    assert abs(gen.U[0, 1] - (-500.0)) <= TOL
+    U = build_generator(ModelParams(mu_ex=500.0, mu_coop=0.0, **C1))
+    assert type(U) is np.ndarray and U.shape == (4, 4) and U.dtype == complex
+    # the effective frequencies sit on the diagonal: U[0, 0] = i nu1 and
+    # U[1, 1] = i nu2
+    assert abs(U[0, 0] - 1j * (1j + 2.5 * math.pi)) <= TOL
+    assert abs(U[1, 1] - 1j * (2j + 2.5 * math.pi)) <= TOL
+    assert abs(U[0, 1] - (-500.0)) <= TOL
 
 
 def test_generator_second_parameter_set():
-    gen = build_generator(ModelParams(mu_ex=100.0, mu_coop=0.0, **C2))
-    assert abs(gen.nu1 - (0.1j + math.pi)) <= TOL
-    assert abs(gen.nu2 - (0.2j + 0.49 * math.pi)) <= TOL
+    U = build_generator(ModelParams(mu_ex=100.0, mu_coop=0.0, **C2))
+    assert abs(U[0, 0] - 1j * (0.1j + math.pi)) <= TOL
+    assert abs(U[1, 1] - 1j * (0.2j + 0.49 * math.pi)) <= TOL
 
 
 def test_generator_free_case_is_diagonal():
-    gen = build_generator(make_params(lambda1=0.0, lambda2=0.0))
-    assert np.abs(gen.U - np.diag([-1.0, -2.0, 1.0, 2.0])).max() <= TOL
+    U = build_generator(make_params(lambda1=0.0, lambda2=0.0))
+    assert np.abs(U - np.diag([-1.0, -2.0, 1.0, 2.0])).max() <= TOL
 
 
 @given(params=params_strategy)
 @settings(deadline=None)
 def test_generator_entry_pattern(params):
-    U = build_generator(params).U
+    U = build_generator(params)
     mx, mc = params.mu_ex, params.mu_coop
     for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
         assert U[i, j] == 0.0
@@ -164,14 +167,12 @@ def test_is_entangled_local_phase_invariant(alpha, theta, phi):
 def test_validate_scenario_grid_rule():
     s = PRESETS["fig1-left"]
     assert validate_scenario(s) is s
-    coarse = Scenario(params=s.params, reservoir=s.reservoir, initial=s.initial,
-                      t_max=0.5, dt=1e-2, label="coarse")
     with pytest.raises(ScenarioError, match="need dt"):
-        validate_scenario(coarse)
-    inverted = Scenario(params=s.params, reservoir=s.reservoir, initial=s.initial,
-                        t_max=1e-5, dt=1e-4, label="inverted")
+        Scenario(params=s.params, reservoir=s.reservoir, initial=s.initial,
+                 t_max=0.5, dt=1e-2, label="coarse")
     with pytest.raises(ScenarioError):
-        validate_scenario(inverted)
+        Scenario(params=s.params, reservoir=s.reservoir, initial=s.initial,
+                 t_max=1e-5, dt=1e-4, label="inverted")
 
 
 def test_validate_scenario_grid_size_guard():
@@ -179,16 +180,46 @@ def test_validate_scenario_grid_size_guard():
     s = PRESETS["fig3-left"]
     largest = dataclasses.replace(s, t_max=(MAX_GRID_POINTS - 1) * s.dt)
     assert validate_scenario(largest) is largest
-    too_large = dataclasses.replace(s, t_max=MAX_GRID_POINTS * s.dt)
     with pytest.raises(ScenarioError) as err:
-        validate_scenario(too_large)
+        dataclasses.replace(s, t_max=MAX_GRID_POINTS * s.dt)
     message = str(err.value)
     assert f"{MAX_GRID_POINTS + 1} points" in message
     assert f"{(MAX_GRID_POINTS + 1) * 256:.4g} bytes" in message
-    assert f"t_max may be at most {largest.t_max:.6g}" in message
+    assert f"t_max may be at most {largest.t_max:.12g} " in message
+    # the largest t_max named passes validation, whatever dt is
+    for dt in (1.23456e-4, 7.7777e-5):
+        with pytest.raises(ScenarioError) as err:
+            dataclasses.replace(s, t_max=1e4, dt=dt)
+        t_max = float(str(err.value).split("at most ")[1].split()[0])
+        dataclasses.replace(s, t_max=t_max, dt=dt)
     # t_max / dt overflows to inf
     with pytest.raises(ScenarioError, match="inf points"):
-        validate_scenario(dataclasses.replace(s, t_max=1e300, dt=1e-20))
+        dataclasses.replace(s, t_max=1e300, dt=1e-20)
+
+
+def slow_scenario(t_max, dt):
+    # rates slow enough for steps up to 1 to pass the grid rule
+    params = make_params(omega1=0.1, omega2=0.1, Omega1=1.0, Omega2=1.0,
+                         lambda1=0.1, lambda2=0.1, mu_ex=0.1)
+    return Scenario(params=params, reservoir=ReservoirState(0.0, 1.0),
+                    initial=CALPHA1, t_max=t_max, dt=dt)
+
+
+@pytest.mark.parametrize("t_max, dt, nearest", [(0.5, 0.3, "0.6"),
+                                                (0.5, 0.4, "0.4")])
+def test_grid_must_end_at_t_max(t_max, dt, nearest):
+    with pytest.raises(ScenarioError) as err:
+        slow_scenario(t_max, dt)
+    message = str(err.value)
+    assert "not a whole number of" in message
+    assert message.endswith(f"the nearest valid t_max is {nearest}")
+
+
+@pytest.mark.parametrize("t_max, dt", [(0.5, 1e-4), (5.0, 1e-3),
+                                       (20.0, 1e-4), (0.05, 2e-3)])
+def test_whole_step_grids_are_accepted(t_max, dt):
+    s = slow_scenario(t_max, dt)
+    assert validate_scenario(s) is s
 
 
 def test_default_dt():
@@ -224,6 +255,26 @@ def test_scenario_json_round_trip(tmp_path):
     assert loaded.reservoir == s.reservoir
     assert loaded.initial == s.initial
     assert loaded.t_max == s.t_max and loaded.dt == s.dt and loaded.label == s.label
+
+
+def test_saved_presets_keep_their_document(tmp_path):
+    # the expected document is written out key by key, independently of
+    # the dataclass fields
+    for name, s in PRESETS.items():
+        p, r = s.params, s.reservoir
+        expected = {
+            "omega1": p.omega1, "omega2": p.omega2,
+            "Omega1": p.Omega1, "Omega2": p.Omega2,
+            "lambda1": p.lambda1, "lambda2": p.lambda2,
+            "mu_ex": p.mu_ex, "mu_coop": p.mu_coop,
+            "N1": r.N1, "N2": r.N2,
+            "alpha": [[float(z.real), float(z.imag)]
+                      for z in s.initial.amplitudes],
+            "t_max": s.t_max, "dt": s.dt, "label": s.label,
+        }
+        path = tmp_path / f"{name}.json"
+        save_scenario(s, path)
+        assert path.read_text() == json.dumps(expected, indent=2) + "\n"
 
 
 def test_scenario_document_errors(tmp_path):

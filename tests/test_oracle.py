@@ -1,11 +1,6 @@
 """Independent verification paths: closed evolution, ODE defect, LTP."""
 
 import dataclasses
-import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import empty_slots
 from test_dynamics import exceptional_params
-import qduet
 from qduet import dynamics, oracle
 from qduet.dynamics import (
     NumericalError,
@@ -123,39 +117,39 @@ def test_propagator_residual_free_case_matches_taylor_bound():
     # for diagonal U the defect is the central-difference error of scalar
     # exponentials, (omega_max dt)^2 omega_max / 6 to leading order
     w2, dt = 2.0, 1e-4
-    gen = build_generator(closed_params(omega1=1.0, omega2=w2))
-    grid = propagator(gen, make_times(0.5, dt))
-    residual = propagator_residual(gen, grid)
+    U = build_generator(closed_params(omega1=1.0, omega2=w2))
+    grid = propagator(U, make_times(0.5, dt))
+    residual = propagator_residual(U, grid)
     predicted = w2 ** 3 * dt ** 2 / 6.0
     assert residual == pytest.approx(predicted, rel=0.05)
 
 
 def test_propagator_residual_second_order_in_dt():
-    gen = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
+    U = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
                                       Omega2=0.1, lambda1=0.5, lambda2=0.5,
                                       mu_ex=500.0, mu_coop=0.0))
     residuals = []
     for dt in (2e-4, 1e-4):
-        grid = propagator(gen, make_times(0.1, dt))
-        residuals.append(propagator_residual(gen, grid))
+        grid = propagator(U, make_times(0.1, dt))
+        residuals.append(propagator_residual(U, grid))
     assert 3.5 <= residuals[0] / residuals[1] <= 4.5
 
 
 def test_propagator_residual_smooth_regime_bound():
-    gen = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
+    U = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
                                       Omega2=0.1, lambda1=0.5, lambda2=0.5,
                                       mu_ex=500.0, mu_coop=0.0))
-    grid = propagator(gen, make_times(0.1, 1e-4))
-    residual = propagator_residual(gen, grid)
-    bound = 1e-5 * np.linalg.norm(gen.U, 2) ** 2 * np.abs(grid.V).max()
+    grid = propagator(U, make_times(0.1, 1e-4))
+    residual = propagator_residual(U, grid)
+    bound = 1e-5 * np.linalg.norm(U, 2) ** 2 * np.abs(grid.V).max()
     assert residual <= bound
 
 
 def test_propagator_residual_needs_three_points():
-    gen = build_generator(closed_params())
-    grid = propagator(gen, make_times(0.1, 0.1))
+    U = build_generator(closed_params())
+    grid = propagator(U, make_times(0.1, 0.1))
     with pytest.raises(ValueError):
-        propagator_residual(gen, grid)
+        propagator_residual(U, grid)
 
 
 def base_scenario(initial, label="ltp"):
@@ -272,8 +266,9 @@ def test_kept_runs_match_fresh_runs(calls):
         for slot in (dynamics._grid_slot, dynamics._series_slot,
                      oracle._conditional_slot):
             assert len(slot) <= 1
-        for stack in oracle._conditional_slot.values():
-            assert not stack.flags.writeable
+        for kept in oracle._conditional_slot.values():
+            assert len(kept) == 4
+            assert not any(n.flags.writeable for n in kept)
 
 
 def test_failed_conditional_run_keeps_nothing(monkeypatch):
@@ -301,17 +296,3 @@ def test_failed_conditional_run_keeps_nothing(monkeypatch):
     _, R = ltp_residual(s)
     assert np.array_equal(R, expected)
 
-
-def test_interference_scan_script_runs():
-    src = Path(qduet.__file__).resolve().parents[1]
-    script = Path(__file__).resolve().parents[1] / "scripts" / "interference_scan.py"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, str(script), "--steps", "2"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    _, _, *rows, _, sharp = proc.stdout.splitlines()
-    assert len(rows) == 2
-    assert all(len([float(x) for x in row.split()]) == 5 for row in rows)
-    assert sharp.startswith("sharp basis state")
-    assert float(sharp.split("max residual ")[1].split()[0]) == 0.0
