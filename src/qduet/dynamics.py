@@ -29,25 +29,45 @@ for a Hermitian 4x4 weight W:
     solution X obeys A X + X A^dag = 0, is constant under the flow and
     cancels.
 
-U is build_generator's plain 4x4 array, and the propagator is computed
-from one eigendecomposition of it per scenario,
-V(t) = P diag(exp(i w t)) P^-1, which costs O(1) linear algebra plus O(nt)
-phase arithmetic for the whole grid.  U is not normal once damping and
-couplings compete, so the eigenvector matrix can be ill-conditioned near
-parameter points where eigenvalues coalesce; the module falls back to a
-two-level exponential table when cond(P) exceeds 1e8 or when the
-reconstructed V(0) misses the identity by more than 1e-12.  With
-B = ceil(sqrt(nt)) and k = q B + b, the table reads
-V(t_k) = V(t_{qB}) V(t_b): two stacks of about sqrt(nt) exponentials,
-each from one batched scaling-and-squaring Taylor series, then one
-batched product.
+U is build_generator's plain 4x4 array.  The propagator is kept as the
+factors of one of two routes, and no (nt, 4, 4) array of V is formed to
+assemble a run.  Both routes give the player rows as a product
+V_j(t_{iB+b}) = L_i[j] R_b, so f_j^W(t_{iB+b}) is the Hermitian form
+Re(conj(x) C_b x^T) in the 4-vector x = L_i[j], with C_b = conj(R_b) W R_b^T:
+
+  * Eigendecomposition: U = P diag(w) P^-1, so V(t) = P diag(phi(t)) P^-1
+    with the phase vector phi(t) = exp(i w t).  B = 1, R_0 = 1, and L_i
+    is the player rows of V(t_i), sum_b phi_b(t_i) P_jb P^-1[b], built
+    once per grid (128 bytes per point, half of V).  A sweep assembles
+    many runs on one grid, and the exponentials and row sums would
+    otherwise be paid again in every one.  (The same form is
+    phi^H C phi in the eigenbasis, with
+    C_ab = conj(P_ja) P_jb (conj(P^-1) W P^-T)_ab, and needs no rows, but
+    its terms grow like cond(P)^2 and round at eps cond(P)^2: near an
+    exceptional point, at cond(P) ~ 1e4, that fails the 1e-10 Born check
+    at t = 0.  The rows of V round at eps cond(P).)
+  * Two-level exponential table: with B = ceil(sqrt(nt)),
+    V(t_{qB+b}) = O_q I_b, the outer stack O_q = V(t_{qB}) and the inner
+    stack I_b = V(t_b) each about sqrt(nt) exponentials from one batched
+    scaling-and-squaring Taylor series.  L_q is the player rows of O_q
+    and R_b = I_b.
+
+One kernel, _form, evaluates the forms in fixed chunks of about
+CHUNK_POINTS grid points, so the scratch an assembly needs is bounded
+whatever t_max is.  U is not normal once damping and couplings compete,
+so P can be ill-conditioned near parameter points where eigenvalues
+coalesce; the table runs instead when cond(P) exceeds 1e8 or when the
+eigen route's V(0) misses the identity by more than 1e-12.
 
 A Scenario is valid by construction, so nothing here validates it
 again.  A scenario's grid depends only on (params, t_max, dt), so a run,
 its four law-of-total-probability conditional runs and a sweep over
 initial states share one.  scenario_grid alone builds it and keeps the
-last one, keyed on (params, t_max, dt), with read-only times and V
-arrays; at most one grid is held, and it stays in memory after a run.
+last one, keyed on (params, t_max, dt), with read-only times and
+factors; at most one grid is held, and it stays in memory after a run.
+The grid builds its player factors on the first assembly and its V
+array only when V is read (by the propagator defect oracle and by
+tests), each at most once.
 
 A run depends on every scenario field but the label, so decision_series
 keeps its last result too, keyed on (params, t_max, dt, reservoir,
@@ -61,6 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +111,10 @@ __all__ = [
 COND_LIMIT = 1e8
 IDENTITY_TOL = 1e-12
 BOUND_TOL = 1e-8
+# grid points per chunk of the quadratic-form kernel and of the eigen
+# route's row build; the table route takes whole rows of B points, at
+# least one
+CHUNK_POINTS = 16384
 
 # B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
 _b1, _b2 = build_mode_operators()
@@ -107,15 +132,53 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorGrid:
-    """V(t_k) = exp(i U t_k) sampled on a uniform grid starting at 0.
+    """V(t_k) = exp(i U t_k) on a uniform grid starting at 0, as factors.
 
-    used_fallback is True when the two-level exponential table ran
-    instead of the eigendecomposition route.
+    factors is (w, P, P^-1) on the eigendecomposition route and
+    (outer, inner) on the two-level table, which runs instead when
+    used_fallback is True.  V, the (nt, 4, 4) array itself, is built from
+    the factors on first access and kept read-only; no run reads it.
     """
 
     times: np.ndarray
-    V: np.ndarray
     used_fallback: bool
+    factors: tuple[np.ndarray, ...]
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The (nt, 4, 4) array of V(t_k), built once from the factors."""
+        if self.used_fallback:
+            outer, inner = self.factors
+            V = (outer[:, None] @ inner[None]).reshape(-1, 4, 4)[:len(self.times)]
+        else:
+            w, P, Pinv = self.factors
+            V = np.einsum("ab,tb,bc->tac", P, _phases(self.times, w), Pinv)
+        V.flags.writeable = False
+        return V
+
+    @cached_property
+    def player_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, R) with V_jc(t_{iB+b}) = sum_a L[a, j, i] R[b, a, c], read-only.
+
+        On the table route L holds the player rows of the outer stack and
+        R is the inner stack.  On the eigen route B = 1, R = [1], and L
+        holds the player rows of V itself, built once, chunk by chunk, as
+        sum_b phi_b(t) P_jb P^-1[b]: half of V, the half every form reads.
+        """
+        if self.used_fallback:
+            outer, inner = self.factors
+            return outer[:, :2].transpose(2, 1, 0), inner
+        w, P, Pinv = self.factors
+        QT = (P[:2, :, None] * Pinv).transpose(1, 2, 0)  # QT[b, c, j] = P_jb P^-1_bc
+        rows = np.empty((4, 2, len(self.times)), dtype=complex)
+        for k0 in range(0, len(self.times), CHUNK_POINTS):
+            phi = _phases(self.times[k0:k0 + CHUNK_POINTS], w).T
+            chunk = rows[:, :, k0:k0 + CHUNK_POINTS]
+            np.multiply(QT[0, :, :, None], phi[0], out=chunk)
+            for b in range(1, 4):
+                chunk += QT[b, :, :, None] * phi[b]
+        rows.flags.writeable = False
+        return rows, np.eye(4)[None]
 
 
 @dataclass(frozen=True)
@@ -172,14 +235,14 @@ def _check_times(times: np.ndarray) -> float:
 
 
 def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
-    """Evaluate V(t) = exp(i U t) on the whole grid.
+    """The factors of V(t) = exp(i U t) on the whole grid.
 
-    Route 1: one eigendecomposition U = P diag(w) P^-1, then
-    V(t) = P diag(exp(i w t)) P^-1 for all grid points at once.  Route 2
-    (fallback): the table V(t_{qB+b}) = V(t_{qB}) V(t_b) with
-    B = ceil(sqrt(nt)), its two factor stacks from _expm_stack, used when
-    P is ill-conditioned (cond > 1e8, U nearly defective) or when route 1
-    fails to reproduce V(0) = 1 within 1e-12.
+    Route 1: one eigendecomposition U = P diag(w) P^-1, kept as
+    (w, P, P^-1).  Route 2 (fallback): the table
+    V(t_{qB+b}) = V(t_{qB}) V(t_b) with B = ceil(sqrt(nt)), kept as its two
+    factor stacks from _expm_stack, used when P is ill-conditioned
+    (cond > 1e8, U nearly defective) or when route 1 fails to reproduce
+    V(0) = 1 within 1e-12.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
@@ -187,8 +250,6 @@ def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
     if not np.all(np.isfinite(U)):
         raise ValueError("generator contains non-finite entries")
 
-    V = None
-    used_fallback = False
     try:
         w, P = np.linalg.eig(U)
         cond = np.linalg.cond(P)
@@ -196,23 +257,25 @@ def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
         cond = np.inf
     if np.isfinite(cond) and cond <= COND_LIMIT:
         Pinv = np.linalg.inv(P)
-        phases = np.exp(1j * np.outer(times, w))
-        V = np.einsum("ab,tb,bc->tac", P, phases, Pinv)
-        if np.abs(V[0] - np.eye(4)).max() > IDENTITY_TOL:
-            V = None
-    if V is None:
-        used_fallback = True
-        nt = len(times)
-        B = math.isqrt(nt - 1) + 1  # ceil(sqrt(nt))
-        outer = _expm_stack(1j * U * times[::B, None, None])
-        inner = _expm_stack(1j * U * (times[:B] - times[0])[:, None, None])
-        V = (outer[:, None] @ inner[None]).reshape(-1, 4, 4)[:nt]
-        if np.abs(V[0] - np.eye(4)).max() > IDENTITY_TOL:
-            raise NumericalError(
-                f"propagator failed on both routes: eigenvector condition "
-                f"number {cond:.3g}, fallback V(0) deviates from identity by "
-                f"{np.abs(V[0] - np.eye(4)).max():.3g}")
-    return PropagatorGrid(times=times, V=V, used_fallback=used_fallback)
+        V0 = np.einsum("ab,tb,bc->tac", P, _phases(times[:1], w), Pinv)[0]
+        if np.abs(V0 - np.eye(4)).max() <= IDENTITY_TOL:
+            return PropagatorGrid(times=times, used_fallback=False,
+                                  factors=(w, P, Pinv))
+    B = math.isqrt(len(times) - 1) + 1  # ceil(sqrt(nt))
+    outer = _expm_stack(1j * U * times[::B, None, None])
+    inner = _expm_stack(1j * U * (times[:B] - times[0])[:, None, None])
+    V0_dev = np.abs(outer[0] @ inner[0] - np.eye(4)).max()
+    if V0_dev > IDENTITY_TOL:
+        raise NumericalError(
+            f"propagator failed on both routes: eigenvector condition "
+            f"number {cond:.3g}, fallback V(0) deviates from identity by "
+            f"{V0_dev:.3g}")
+    return PropagatorGrid(times=times, used_fallback=True, factors=(outer, inner))
+
+
+def _phases(times: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The phase vectors phi(t) = exp(i w t), one row per time."""
+    return np.exp(1j * np.outer(times, w))
 
 
 def _expm_stack(M: np.ndarray) -> np.ndarray:
@@ -233,24 +296,52 @@ def _expm_stack(M: np.ndarray) -> np.ndarray:
     return E
 
 
-def _player_form(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f_1^W, f_2^W) for one 4x4 V or a (..., 4, 4) stack; W Hermitian.
+def _form(x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Re(conj(x) C x^T) for every 4-vector x[:, ...] and every C of a
+    (B, 4, 4) Hermitian stack, as an array of shape (B,) + x.shape[1:].
 
-    Only the upper triangle of W is read.  The terms are summed
-    elementwise over a contiguous copy of the two player rows, skipping
-    zero weights: a zero weight adds an exact zero, and no BLAS call
-    wakes the worker threads on the tall arrays.
+    Only the upper triangle of each C is read.  The terms are summed
+    elementwise in a fixed order, skipping weights that are zero in every
+    C: a zero weight adds an exact zero, each output depends only on its
+    own x and C (so the chunking never changes a bit), and no BLAS call
+    wakes the worker threads.
     """
-    V = np.asarray(V, dtype=complex)
-    cols = np.moveaxis(V[..., :2, :], (-1, -2), (0, 1)).copy()
-    f = np.zeros(cols.shape[1:])
-    for k in range(4):
-        if W[k, k] != 0:
-            f += W[k, k].real * (cols[k].real ** 2 + cols[k].imag ** 2)
-        for l in range(k + 1, 4):
-            if W[k, l] != 0:
-                f += 2.0 * (W[k, l] * cols[k].conj() * cols[l]).real
-    return f[0], f[1]
+    real, imag = C.real.any(axis=0), C.imag.any(axis=0)
+    f = np.zeros(C.shape[:1] + x.shape[1:])
+    for a in range(4):
+        if real[a, a]:
+            f += np.multiply.outer(C[:, a, a].real, x[a].real ** 2 + x[a].imag ** 2)
+        for b in range(a + 1, 4):
+            if real[a, b] or imag[a, b]:
+                p = x[a].conj() * x[b]
+                # 2 Re(c p), doubling c instead of the sum (exact either way)
+                term = np.multiply.outer(2.0 * C[:, a, b].real, p.real)
+                if imag[a, b]:
+                    term -= np.multiply.outer(2.0 * C[:, a, b].imag, p.imag)
+                f += term
+    return f
+
+
+def _player_forms(grid: PropagatorGrid, W: np.ndarray) -> np.ndarray:
+    """(f_1^W, f_2^W) on the grid as a (2, nt) array; W Hermitian.
+
+    Only the upper triangle of W and the real part of its diagonal are
+    read.  With (L, R) = grid.player_factors, f_j^W(t_{iB+b}) is the form
+    in the 4-vector L[:, j, i] with weight C_b = conj(R_b) W R_b^T.  It is
+    evaluated in chunks of about CHUNK_POINTS points (whole rows of B
+    points), writing into one array whose transpose is returned.
+    """
+    upper = np.triu(W, 1)
+    W = upper + upper.conj().T + np.diag(np.diag(W).real)
+    L, R = grid.player_factors
+    C = R.conj() @ W @ R.transpose(0, 2, 1)
+    B = len(R)
+    per_chunk = max(1, CHUNK_POINTS // B)
+    out = np.empty((L.shape[-1] * B, 2))
+    for i in range(0, L.shape[-1], per_chunk):
+        f = _form(L[..., i:i + per_chunk], C)  # (B, 2, rows in the chunk)
+        out[i * B:(i + per_chunk) * B] = f.transpose(2, 0, 1).reshape(-1, 2)
+    return out[:len(grid.times)].T
 
 
 def _gram(initial: InitialState) -> np.ndarray:
@@ -258,33 +349,34 @@ def _gram(initial: InitialState) -> np.ndarray:
     return B.conj() @ B.T
 
 
-def mu_player(V: np.ndarray, initial: InitialState) -> tuple[np.ndarray, np.ndarray]:
+def mu_player(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     """Direct (non-interference) part of both decision functions.
 
-    mu_j = f_j^{diag G}.  Accepts a single 4x4 matrix or a stacked
-    (..., 4, 4) array; returns (mu1, mu2) with the leading shape of V.
+    mu_j = f_j^{diag G} on the grid, returned as a (2, nt) array whose
+    rows are mu1 and mu2.
     """
-    return _player_form(V, np.diag(np.diag(_gram(initial))))
+    return _player_forms(grid, np.diag(np.diag(_gram(initial))))
 
 
-def delta_mu(V: np.ndarray, initial: InitialState) -> tuple[np.ndarray, np.ndarray]:
+def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     """Interference part of both decision functions.
 
     dmu_j = f_j^{G - diag G}.  Every off-diagonal G_kl is a product of two
     distinct amplitudes, so the result is identically zero for any
-    single-basis-vector initial state and at t = 0 where the off-diagonal
-    V entries vanish.  Shapes as in mu_player.
+    single-basis-vector initial state, and at t = 0, where V is the
+    identity, it is zero up to rounding.  Shape as in mu_player.
     """
     G = _gram(initial)
-    return _player_form(V, G - np.diag(np.diag(G)))
+    return _player_forms(grid, G - np.diag(np.diag(G)))
 
 
 def bath_contribution(reservoir: ReservoirState, params: ModelParams,
-                      grid: PropagatorGrid) -> tuple[np.ndarray, np.ndarray]:
+                      grid: PropagatorGrid) -> np.ndarray:
     """Bath part of both decision functions on the grid.
 
     nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) with N the least-squares
     solution of A N + N A^dag = D, exact on either propagator route.
+    Shape as in mu_player.
     """
     A = 1j * build_generator(params)
     k1 = params.lambda1 ** 2 / params.Omega1
@@ -295,10 +387,12 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
     L = np.kron(A, eye) + np.kron(eye, A.conj())
     N = np.linalg.lstsq(L, D.reshape(16).astype(complex), rcond=None)[0]
     # clear the rounding noise lstsq leaves where N is zero in exact
-    # arithmetic, so that _player_form skips those terms
+    # arithmetic, so that a decoupled player's feed stays exactly zero
     N[np.abs(N) < 1e-14 * np.abs(N).max()] = 0.0
-    f1, f2 = _player_form(grid.V, N.reshape(4, 4).T)
-    return 2.0 * np.pi * (f1 - f1[0]), 2.0 * np.pi * (f2 - f2[0])
+    f = _player_forms(grid, N.reshape(4, 4).T)
+    f -= f[:, :1].copy()
+    f *= 2.0 * np.pi
+    return f
 
 
 def scenario_grid(s: Scenario) -> PropagatorGrid:
@@ -309,15 +403,15 @@ def scenario_grid(s: Scenario) -> PropagatorGrid:
     s.dt), so scenarios that differ only in reservoir, initial state or
     label share a grid.  The one slot is emptied before a different grid
     is built, so at most one grid is ever held, and it stays in memory
-    after the run.  Its times and V arrays are read-only.
+    after the run.  Its times and factor arrays are read-only.
     """
     key = (s.params, s.t_max, s.dt)
     grid = _grid_slot.get(key)
     if grid is None:
         _grid_slot.clear()  # release the old grid before building the next
         grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
-        grid.times.flags.writeable = False
-        grid.V.flags.writeable = False
+        for values in (grid.times, *grid.factors):
+            values.flags.writeable = False
         _grid_slot[key] = grid
     return grid
 
@@ -346,13 +440,9 @@ def decision_series(s: Scenario) -> DecisionSeries:
         return replace(last, scenario=s)
     _series_slot.clear()  # release the old series before assembling the next
     grid = scenario_grid(s)
-    mu1, mu2 = mu_player(grid.V, s.initial)
-    dmu1, dmu2 = delta_mu(grid.V, s.initial)
-    nB1, nB2 = bath_contribution(s.reservoir, s.params, grid)
-
-    mu = np.column_stack([mu1, mu2])
-    dmu = np.column_stack([dmu1, dmu2])
-    nB = np.column_stack([nB1, nB2])
+    mu = mu_player(grid, s.initial).T
+    dmu = delta_mu(grid, s.initial).T
+    nB = bath_contribution(s.reservoir, s.params, grid).T
     n = mu + dmu + nB
 
     _, p1_1, _, p2_1 = born_probabilities(s.initial)

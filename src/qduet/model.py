@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -70,9 +71,12 @@ __all__ = [
 
 NORM_TOL = 1e-10
 GRID_RULE = 0.1
-# 2**22 grid points keep the propagator array (4x4 complex, 256 B per
-# point) within 1 GiB
+# 2**22 grid points keep what a run holds within 839 MB
 MAX_GRID_POINTS = 2 ** 22
+# bytes a run keeps per grid point, at most: the time and the two float64
+# columns of each of mu, dmu, nB and n, and, on the eigen route, the
+# grid's two player rows of V (4 complex entries each)
+RUN_BYTES_PER_POINT = 8 + 4 * 16 + 2 * 4 * 16
 # relative tolerance on t_max / dt being a whole number of steps
 STEP_TOL = 1e-9
 
@@ -82,6 +86,8 @@ class ScenarioError(ValueError):
 
 
 def _require_finite(name: str, value: float) -> None:
+    if not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ScenarioError(f"{name} must be finite, got {value!r}")
 
@@ -160,6 +166,10 @@ class InitialState:
     a11: complex
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Complex):
+                raise ScenarioError(f"{f.name} must be a complex number, got {value!r}")
         total = (abs(self.a00) ** 2 + abs(self.a10) ** 2
                  + abs(self.a01) ** 2 + abs(self.a11) ** 2)
         if not math.isfinite(total):
@@ -260,14 +270,22 @@ def default_dt(params: ModelParams) -> float:
 def validate_scenario(s: Scenario) -> Scenario:
     """Check all scenario invariants; return the scenario unchanged.
 
-    Raises ScenarioError on domain violations, on a non-positive or
-    non-ordered grid, on a grid too coarse for the fastest frequency
-    (dt * f_max must stay below 0.1; the message reports the required dt),
-    on a grid of more than MAX_GRID_POINTS points (the message reports
-    the propagator bytes and the largest t_max allowed at that dt) and on
+    Raises ScenarioError, naming the field, on a field of the wrong type,
+    on domain violations, on a non-positive or non-ordered grid, on a grid
+    too coarse for the fastest frequency (dt * f_max must stay below 0.1;
+    the message reports the required dt), on a grid of more than
+    MAX_GRID_POINTS points (the message reports the bytes the run would
+    keep and the largest t_max allowed at that dt) and on
     a t_max that is not a whole number of dt steps within a relative
     1e-9 (the message reports the nearest t_max that is).
     """
+    for name, kind in (("params", ModelParams), ("reservoir", ReservoirState),
+                       ("initial", InitialState), ("label", str)):
+        value = getattr(s, name)
+        if not isinstance(value, kind):
+            raise ScenarioError(
+                f"{name} must be of type {kind.__name__}, got "
+                f"{type(value).__name__}")
     _require_finite("t_max", s.t_max)
     _require_finite("dt", s.dt)
     if s.t_max <= 0:
@@ -285,8 +303,9 @@ def validate_scenario(s: Scenario) -> Scenario:
     nt = round(steps) + 1 if math.isfinite(steps) else math.inf
     if nt > MAX_GRID_POINTS:
         raise ScenarioError(
-            f"grid too large: {nt} points, whose propagator would take "
-            f"{nt * 256:.4g} bytes; at dt={s.dt:g} t_max may be at most "
+            f"grid too large: {nt} points, whose run would keep up to "
+            f"{nt * RUN_BYTES_PER_POINT:.4g} bytes ({RUN_BYTES_PER_POINT} "
+            f"per point); at dt={s.dt:g} t_max may be at most "
             f"{(MAX_GRID_POINTS - 1) * s.dt:.12g} ({MAX_GRID_POINTS} points)")
     if abs(steps - round(steps)) > STEP_TOL * steps:
         raise ScenarioError(

@@ -9,11 +9,18 @@ from qduet.dynamics import decision_series
 from qduet.model import PRESETS
 
 
+def kept_slots():
+    """Every `_*_slot` dict that dynamics and oracle define."""
+    return [value for module in (dynamics, oracle)
+            for name, value in vars(module).items()
+            if name.startswith("_") and name.endswith("_slot")
+            and isinstance(value, dict)]
+
+
 def empty_slots():
-    """Drop the kept grid, series and conditional runs."""
-    dynamics._grid_slot.clear()
-    dynamics._series_slot.clear()
-    oracle._conditional_slot.clear()
+    """Drop everything the modules keep: grid, series, conditional runs."""
+    for slot in kept_slots():
+        slot.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -237,7 +237,7 @@ def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):
 
 
 def test_grid_too_large_is_config_error(tmp_path, capsys):
-    # 10^7 points: the propagator alone would take 2.56 GB
+    # 10^7 points: the run would keep up to 2 GB
     out_dir = tmp_path / "out"
     code, out, err = run_cli(["--preset", "fig3-left", "--t-max", "1000",
                               "--out", str(out_dir)], capsys)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,9 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import amplitude_vectors
+from conftest import amplitude_vectors, empty_slots
 import qduet
-from qduet import dynamics
+from qduet import algebra, dynamics
 from qduet.dynamics import (
     DecisionSeries,
     bath_contribution,
@@ -28,6 +29,7 @@ from qduet.dynamics import (
 )
 from qduet.model import (
     PRESETS,
+    RUN_BYTES_PER_POINT,
     InitialState,
     ModelParams,
     ReservoirState,
@@ -244,18 +246,148 @@ def test_propagator_fallback_near_eigenvalue_coalescence():
     assert np.abs(grid.V[0] - np.eye(4)).max() <= 1e-12
 
 
+def explicit_form(V, W):
+    """sum_kl conj(V_jk) V_jl W_kl for j = 1, 2 as a (2, len(V)) array."""
+    return np.einsum("tjk,tjl,kl->jt", V[:, :2].conj(), V[:, :2], W).real
+
+
+def gram(initial):
+    # G_kl = <B_k psi, B_l psi> for B = (b1, b2, b1^dag, b2^dag)
+    b1, b2 = algebra.build_mode_operators()
+    Bpsi = np.array([m @ initial.amplitudes
+                     for m in (b1, b2, b1.conj().T, b2.conj().T)])
+    return Bpsi.conj() @ Bpsi.T
+
+
+# a dense Hermitian weight with entries of order 1
+_X = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 4, 4))
+HERMITIAN = (_X[0] + 1j * _X[1] + _X[0].T - 1j * _X[1].T) / 2.0
+
+
+def assert_forms_match_expm(U, grid, initial, tol):
+    # mu, dmu and the kernel on a dense weight, against the definition
+    # evaluated on scipy's expm at 20 grid points
+    times = grid.times
+    idx = np.linspace(0, len(times) - 1, 20).astype(int)
+    V = np.stack([expm(1j * U * times[i]) for i in idx])
+    G = gram(initial)
+    pairs = ((mu_player(grid, initial), np.diag(np.diag(G))),
+             (delta_mu(grid, initial), G - np.diag(np.diag(G))),
+             (dynamics._player_forms(grid, HERMITIAN), HERMITIAN))
+    for forms, W in pairs:
+        assert forms.shape == (2, len(times))
+        assert np.abs(forms[:, idx] - explicit_form(V, W)).max() <= tol
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_forms_match_expm_on_presets(name):
+    s = PRESETS[name]
+    U = build_generator(s.params)
+    assert_forms_match_expm(U, propagator(U, make_times(s.t_max, s.dt)),
+                            s.initial, 1e-14)
+
+
+@given(detune=exceptional_detunes, g1=st.floats(0.05, 3.0),
+       g2=st.floats(0.05, 3.0), omega=st.floats(-2.0, 2.0),
+       t_max=st.floats(0.5, 20.0), alpha=amplitude_vectors())
+@settings(deadline=None, max_examples=60)
+def test_forms_match_expm_on_and_near_exceptional_points(detune, g1, g2, omega,
+                                                          t_max, alpha):
+    # 1e-14 on the table route; the eigen route's V itself rounds at the
+    # scale n eps cond(P), n = 4 (see the propagator test above), which
+    # passes 1e-14 once cond(P) exceeds ~10
+    U = build_generator(exceptional_params(detune, g1, g2, omega))
+    grid = propagator(U, make_times(t_max, t_max / 2000))
+    tol = 1e-14
+    if not grid.used_fallback:
+        tol = max(tol, 4 * np.finfo(float).eps * np.linalg.cond(np.linalg.eig(U)[1]))
+    assert_forms_match_expm(U, grid, InitialState.from_amplitudes(alpha), tol)
+
+
+@pytest.mark.parametrize("detune", [1e-9, 1e-8, 1e-7])
+def test_eigen_route_near_exceptional_point_meets_the_born_check(detune):
+    # cond(P) 3e3 to 3e4: a form built in the eigenbasis would round at
+    # eps cond(P)^2, up to 1e-8, and fail the 1e-10 Born check at t = 0;
+    # the player rows of V round at eps cond(P)
+    s = make_scenario(exceptional_params(detune), InitialState(0.5j, -0.5j, 0.5, -0.5),
+                      N1=0.3, N2=0.8, t_max=5.0, dt=1e-3)
+    series = decision_series(s)
+    assert not scenario_grid(s).used_fallback
+    _, p1_1, _, p2_1 = born_probabilities(s.initial)
+    assert abs(series.n[0, 0] - p1_1) <= 1e-12
+    assert abs(series.n[0, 1] - p2_1) <= 1e-12
+
+
+def chunk_scenario(route):
+    # nt = 5001: neither 7 nor 1000 nor the default divides it, nor (on
+    # the table route, B = 71) any whole number of rows they round to
+    if route == "eigendecomposition":
+        return PRESETS["fig6-right"]
+    return make_scenario(exceptional_params(), InitialState(0.5j, -0.5j, 0.5, -0.5),
+                         N1=0.3, N2=0.8, t_max=5.0, dt=1e-3)
+
+
+@pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
+def test_chunk_length_changes_no_bit(route, monkeypatch):
+    s = chunk_scenario(route)
+    runs = []
+    for chunk in (None, 7, 1000):
+        if chunk is not None:
+            monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+        empty_slots()
+        series = decision_series(s)
+        assert scenario_grid(s).used_fallback == (route == "fallback")
+        runs.append([a.tobytes() for a in (series.mu, series.dmu, series.nB, series.n)])
+    nt = len(series.times)
+    assert nt % 7 and nt % 1000 and nt % dynamics.CHUNK_POINTS
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
+def test_cold_run_peak_memory_stays_below_V(route):
+    # V alone would take 256 B per grid point.  A run keeps at most
+    # RUN_BYTES_PER_POINT (the series, and the player rows of V on the
+    # eigen route) plus the factors, and peaks O(chunk) above that
+    if route == "eigendecomposition":
+        s = dataclasses.replace(PRESETS["fig3-left"], t_max=5.0)
+    else:
+        s = dataclasses.replace(chunk_scenario(route), t_max=50.0)
+    tracemalloc.start()
+    try:
+        series = decision_series(s)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nt = len(series.times)
+    assert nt >= 50001
+    assert scenario_grid(s).used_fallback == (route == "fallback")
+    assert held <= RUN_BYTES_PER_POINT * nt + 2 ** 16
+    assert peak < 256 * nt
+
+
+def test_grid_builds_V_once_and_only_when_read():
+    grid = scenario_grid(SHORT)
+    assert "V" not in vars(grid)
+    decision_series(SHORT)
+    assert "V" not in vars(grid)
+    assert grid.V is grid.V
+    assert grid.V.shape == (len(grid.times), 4, 4)
+
+
 def test_mu_player_identity_propagator():
-    eye = np.eye(4, dtype=complex)
-    assert mu_player(eye, InitialState.basis_state(1, 0)) == pytest.approx((1.0, 0.0))
-    a_half = InitialState(0.5, 0.5, 0.5, 0.5)
-    assert mu_player(eye, a_half) == pytest.approx((0.5, 0.5))
+    # U = 0 gives V(t) = 1 at every grid point
+    grid = propagator(np.zeros((4, 4)), make_times(0.1, 0.05))
+    mu1, mu2 = mu_player(grid, InitialState.basis_state(1, 0))
+    assert mu1 == pytest.approx([1.0] * 3) and mu2 == pytest.approx([0.0] * 3)
+    mu1, mu2 = mu_player(grid, InitialState(0.5, 0.5, 0.5, 0.5))
+    assert mu1 == pytest.approx([0.5] * 3) and mu2 == pytest.approx([0.5] * 3)
 
 
 def test_mu_player_decoupled_decay():
     params = make_params(lambda2=0.0)
     times = make_times(1.0, 1e-3)
     grid = propagator(build_generator(params), times)
-    mu1, _ = mu_player(grid.V, InitialState.basis_state(1, 0))
+    mu1, _ = mu_player(grid, InitialState.basis_state(1, 0))
     assert np.abs(mu1 - np.exp(-2.0 * params.gamma1 * times)).max() <= 1e-12
 
 
@@ -264,14 +396,15 @@ def test_delta_mu_zero_for_basis_states():
                       make_times(1.0, 1e-2))
     for l in (0, 1):
         for k in (0, 1):
-            d1, d2 = delta_mu(grid.V, InitialState.basis_state(k, l))
+            d1, d2 = delta_mu(grid, InitialState.basis_state(k, l))
             assert np.abs(d1).max() == 0.0
             assert np.abs(d2).max() == 0.0
 
 
 def test_delta_mu_zero_at_identity():
-    d1, d2 = delta_mu(np.eye(4, dtype=complex), InitialState(0.5, 0.5, 0.5, 0.5))
-    assert d1 == 0.0 and d2 == 0.0
+    grid = propagator(np.zeros((4, 4)), make_times(0.1, 0.05))
+    d1, d2 = delta_mu(grid, InitialState(0.5, 0.5, 0.5, 0.5))
+    assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
 
 def test_bath_contribution_zero_couplings():
@@ -398,9 +531,9 @@ def test_mu_linearity_in_probabilities(alpha):
     mixed = np.zeros((len(grid.times), 2))
     for idx in range(4):
         k, l = idx % 2, idx // 2
-        m1, m2 = mu_player(grid.V, InitialState.basis_state(k, l))
+        m1, m2 = mu_player(grid, InitialState.basis_state(k, l))
         mixed[:, 0] += weights[idx] * m1
         mixed[:, 1] += weights[idx] * m2
-    m1, m2 = mu_player(grid.V, InitialState.from_amplitudes(alpha))
+    m1, m2 = mu_player(grid, InitialState.from_amplitudes(alpha))
     assert np.abs(m1 - mixed[:, 0]).max() <= 1e-12
     assert np.abs(m2 - mixed[:, 1]).max() <= 1e-12

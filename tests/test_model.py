@@ -17,6 +17,7 @@ from qduet.model import (
     C2,
     MAX_GRID_POINTS,
     PRESETS,
+    RUN_BYTES_PER_POINT,
     InitialState,
     ModelParams,
     ReservoirState,
@@ -184,7 +185,7 @@ def test_validate_scenario_grid_size_guard():
         dataclasses.replace(s, t_max=MAX_GRID_POINTS * s.dt)
     message = str(err.value)
     assert f"{MAX_GRID_POINTS + 1} points" in message
-    assert f"{(MAX_GRID_POINTS + 1) * 256:.4g} bytes" in message
+    assert f"{(MAX_GRID_POINTS + 1) * RUN_BYTES_PER_POINT:.4g} bytes" in message
     assert f"t_max may be at most {largest.t_max:.12g} " in message
     # the largest t_max named passes validation, whatever dt is
     for dt in (1.23456e-4, 7.7777e-5):
@@ -195,6 +196,25 @@ def test_validate_scenario_grid_size_guard():
     # t_max / dt overflows to inf
     with pytest.raises(ScenarioError, match="inf points"):
         dataclasses.replace(s, t_max=1e300, dt=1e-20)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_max", "0.5"), ("dt", None), ("params", None), ("reservoir", None),
+    ("initial", None), ("label", 3),
+    ("params", dict(omega1=1.0)), ("initial", [1.0, 0.0, 0.0, 0.0]),
+])
+def test_wrong_typed_field_is_a_scenario_error(field, value):
+    with pytest.raises(ScenarioError, match=f"^{field} must be"):
+        dataclasses.replace(PRESETS["fig1-left"], **{field: value})
+
+
+def test_wrong_typed_parameter_is_a_scenario_error():
+    with pytest.raises(ScenarioError, match="^mu_ex must be a real number"):
+        make_params(mu_ex="1.0")
+    with pytest.raises(ScenarioError, match="^N2 must be a real number"):
+        ReservoirState(0.5, None)
+    with pytest.raises(ScenarioError, match="^a10 must be a complex number"):
+        InitialState(1.0, "0", 0.0, 0.0)
 
 
 def slow_scenario(t_max, dt):

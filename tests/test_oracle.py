@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_slots
+from conftest import empty_slots, kept_slots
 from test_dynamics import exceptional_params
 from qduet import dynamics, oracle
 from qduet.dynamics import (
@@ -248,6 +248,14 @@ def _slot_call(op, s):
     return ltp_residual(s)
 
 
+def test_kept_slots_include_every_known_slot():
+    # the autouse fixture empties kept_slots(); a slot it missed would
+    # carry one test's grid or runs into the next
+    kept = {id(slot) for slot in kept_slots()}
+    assert kept >= {id(dynamics._grid_slot), id(dynamics._series_slot),
+                    id(oracle._conditional_slot)}
+
+
 @settings(max_examples=40, deadline=None)
 @given(calls=st.lists(st.tuples(st.sampled_from(["series", "ltp"]),
                                 st.integers(0, len(SLOT_POOL) - 1)),
@@ -263,8 +271,7 @@ def test_kept_runs_match_fresh_runs(calls):
     for op, i in calls:
         result = _slot_call(op, SLOT_POOL[i])
         assert all(np.array_equal(a, b) for a, b in zip(result, fresh[op, i]))
-        for slot in (dynamics._grid_slot, dynamics._series_slot,
-                     oracle._conditional_slot):
+        for slot in kept_slots():
             assert len(slot) <= 1
         for kept in oracle._conditional_slot.values():
             assert len(kept) == 4
