@@ -18,6 +18,13 @@ t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2, 17 significant digits) and optionally
 (columns t,R1,R2, the law-of-total-probability residuals).  All outputs
 are deterministic: rerunning a configuration reproduces the files byte
 for byte.
+
+Tables are written in blocks of _BLOCK_ROWS rows, each formatted by one
+%-format call over the block's values, so the file never exists as one
+array or one string.  The bytes are those numpy's savetxt writes with
+fmt="%.17g", delimiter="," and the header as its first line.  Chart
+coordinates are computed on whole arrays with the same float operations
+as per point, and the polyline is formatted in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ import dataclasses
 import sys
 import warnings
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -56,11 +62,17 @@ __all__ = ["main", "build_parser", "write_csv", "read_csv", "write_svg"]
 
 CSV_HEADER = "t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2"
 
+_BLOCK_ROWS = 1024
+
 
 def _write_table(path: str | Path, header: str, cols) -> None:
     # 17 significant digits reproduce every double exactly
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(cols[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path: str | Path, series: DecisionSeries) -> None:
@@ -100,9 +112,16 @@ def read_csv(path: str | Path) -> DecisionSeries:
     )
 
 
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape without its import of urllib, http and email
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def write_svg(path: str | Path, times: np.ndarray, values: np.ndarray,
               title: str, ylabel: str) -> None:
     """Minimal SVG 1.1 line chart of one decision function against time."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     width, height = 640, 400
     left, right, top, bottom = 70.0, 615.0, 30.0, 355.0
     t0, t1 = float(times[0]), float(times[-1])
@@ -113,10 +132,12 @@ def write_svg(path: str | Path, times: np.ndarray, values: np.ndarray,
     if y1 <= y0:
         y1 = y0 + 1.0
 
-    def sx(t: float) -> float:
+    # applied to floats and to whole arrays alike: the same operations in
+    # the same order, so an array's coordinates match the per-point ones
+    def sx(t):
         return left + (t - t0) / (t1 - t0) * (right - left)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return bottom - (v - y0) / (y1 - y0) * (bottom - top)
 
     parts = [
@@ -124,7 +145,7 @@ def write_svg(path: str | Path, times: np.ndarray, values: np.ndarray,
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<text x="{(left + right) / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" '
         f'stroke="black" stroke-width="1"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
@@ -146,9 +167,9 @@ def write_svg(path: str | Path, times: np.ndarray, values: np.ndarray,
                  f'text-anchor="middle" font-family="sans-serif" font-size="12">t</text>')
     parts.append(f'<text x="16" y="{(top + bottom) / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {(top + bottom) / 2:.1f})">{escape(ylabel)}</text>')
-    points = " ".join(f"{sx(float(t)):.2f},{sy(float(v)):.2f}"
-                      for t, v in zip(times, values))
+                 f'transform="rotate(-90 16 {(top + bottom) / 2:.1f})">{_escape(ylabel)}</text>')
+    xy = np.column_stack((sx(times), sy(values))).ravel().tolist()
+    points = ("%.2f,%.2f " * len(times) % tuple(xy))[:-1]
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
                  f'stroke-width="1"/>')
     parts.append("</svg>")

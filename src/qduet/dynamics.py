@@ -422,10 +422,11 @@ def decision_series(s: Scenario) -> DecisionSeries:
     The propagator comes from scenario_grid(s), keyed on (params, t_max,
     dt), and stays in memory after the run; the returned times array is
     that grid's read-only one.
-    Enforces at run time that nB and dmu start at zero, that n_j(0)
-    reproduces the Born marginals within 1e-10, and that the decision
-    functions stay inside [-1e-8, 1 + 1e-8]; violations raise
-    NumericalError with the offending values.
+    Two checks run on every assembly: n_j(0) must reproduce the Born
+    marginals within 1e-10, and the decision functions must stay inside
+    [-1e-8, 1 + 1e-8]; violations raise NumericalError with the
+    offending values.  nB(0) is 0 by construction (the bath form is taken
+    relative to its value at t=0); dmu(0) is not checked on its own.
 
     The last result is kept, keyed on (params, t_max, dt, reservoir,
     initial): every scenario field but the label, and everything

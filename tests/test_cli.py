@@ -1,14 +1,22 @@
 """Command-line front end: flags, files, exit codes, determinism."""
 
 import json
+import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import empty_slots
-from qduet import dynamics, oracle
-from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv
-from qduet.dynamics import bath_contribution, decision_series, propagator
+from qduet import cli, dynamics, oracle
+from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv, write_svg
+from qduet.dynamics import DecisionSeries, bath_contribution, decision_series, propagator
 from qduet.model import PRESETS, ScenarioError, save_scenario, scenario_to_dict
 
 
@@ -244,3 +252,91 @@ def test_grid_too_large_is_config_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "10000001 points" in err
     assert not out_dir.exists()
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308, 1e300, -1e300,
+                  -1e-300, -1e-17, 1.0, -3.0, 2.0 ** 53, 0.1, float("nan"),
+                  float("inf"), float("-inf")]
+table_values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(),
+                         st.integers(-10 ** 6, 10 ** 6).map(float))
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7])
+@given(ncols=st.integers(1, 3),
+       rows=st.sampled_from(["one", "block-1", "block", "block+1", "ragged"]),
+       pool=st.lists(table_values, min_size=1, max_size=16),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None, max_examples=40)
+def test_write_table_matches_savetxt_bytes(table_dir, block, ncols, rows, pool, seed):
+    n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+         "ragged": 3 * block + block // 2 + 1}[rows]
+    data = np.random.default_rng(seed).choice(np.array(pool), size=(n, ncols))
+    header = ",".join("tab"[:ncols])
+    ours, ref = table_dir / "ours.csv", table_dir / "ref.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_ROWS", block)
+        cli._write_table(ours, header, [data[:, k] for k in range(ncols)])
+    np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_write_svg_matches_per_point_reference(tmp_path, fig6_left):
+    times, values = fig6_left.times, fig6_left.n[:, 0]
+    title, ylabel = "a & b <c> n1(t)", "n<1> & more"
+    path = tmp_path / "chart.svg"
+    write_svg(path, times, values, title=title, ylabel=ylabel)
+    svg = path.read_text()
+    # the chart frame and the per-point formulas write_svg is defined by
+    left, right, top, bottom = 70.0, 615.0, 30.0, 355.0
+    t0, t1 = float(times[0]), float(times[-1])
+    y0, y1 = min(0.0, float(values.min())), max(1.0, float(values.max()))
+
+    def sx(t):
+        return left + (t - t0) / (t1 - t0) * (right - left)
+
+    def sy(v):
+        return bottom - (v - y0) / (y1 - y0) * (bottom - top)
+
+    expected = " ".join(f"{sx(float(t)):.2f},{sy(float(v)):.2f}"
+                        for t, v in zip(times, values))
+    assert re.findall(r'points="([^"]*)"', svg) == [expected]
+    assert f">{escape(title)}</text>" in svg
+    assert f">{escape(ylabel)}</text>" in svg
+    assert title not in svg and ylabel not in svg
+
+
+def test_cli_import_loads_no_network_modules():
+    # the CLI escapes SVG text itself; xml.sax.saxutils would pull these in
+    src = str(Path(cli.__file__).resolve().parents[1])
+    banned = ("urllib.request", "http.client", "email", "xml.sax")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qduet.cli; "
+            f"print(sorted(m for m in sys.modules if any(m == b or "
+            f"m.startswith(b + '.') for b in {banned!r})))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_write_csv_streams_a_long_table(tmp_path):
+    # nt=200001 (fig3-left at t_max=20): the table itself is 14.4 MB
+    nt = 200001
+    rng = np.random.default_rng(3)
+    series = DecisionSeries(times=np.linspace(0.0, 20.0, nt),
+                            mu=rng.random((nt, 2)), dmu=rng.random((nt, 2)),
+                            nB=rng.random((nt, 2)), n=rng.random((nt, 2)))
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    with open(path) as fh:
+        lines = sum(1 for _ in fh)
+    assert lines == nt + 1
