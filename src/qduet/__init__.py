@@ -25,6 +25,7 @@ from .dynamics import (
     NumericalError,
     PropagatorGrid,
     bath_contribution,
+    conditional_runs,
     decision_series,
     delta_mu,
     make_times,
@@ -71,6 +72,7 @@ __all__ = [
     "PropagatorGrid", "DecisionSeries", "NumericalError",
     "make_times", "propagator", "mu_player", "delta_mu",
     "bath_contribution", "scenario_grid", "decision_series",
+    "conditional_runs",
     "closed_hamiltonian", "exact_closed_evolution",
     "propagator_residual", "ltp_residual",
     "DecisionOutcome", "AsymptoticsReport",

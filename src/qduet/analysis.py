@@ -92,9 +92,10 @@ def _odds_value(p1: float) -> float:
 def odds(series: DecisionSeries, t: float) -> tuple[float, float]:
     """Odds (O1, O2) in favor of strategy 1 at grid time t.
 
-    t must lie on the grid (within a 1e-9 dt tolerance).  Decision
-    function values are clamped to [0, 1] first; math.inf marks odds with
-    a vanishing denominator.
+    t must lie on the grid: within 1e-9 * max(dt, 1) of the nearest grid
+    time, so an absolute 1e-9 for any dt up to 1.  Decision function
+    values are clamped to [0, 1] first; math.inf marks odds with a
+    vanishing denominator.
     """
     dt = series.dt
     idx = int(round(t / dt))

@@ -60,21 +60,28 @@ coalesce; the table runs instead when cond(P) exceeds 1e8 or when the
 eigen route's V(0) misses the identity by more than 1e-12.
 
 A Scenario is valid by construction, so nothing here validates it
-again.  A scenario's grid depends only on (params, t_max, dt), so a run,
+again.  Runs in one information environment, that is with the same
+(params, t_max, dt, reservoir), differ only in the initial state: a run,
 its four law-of-total-probability conditional runs and a sweep over
-initial states share one.  scenario_grid alone builds it and keeps the
-last one, keyed on (params, t_max, dt), with read-only times and
-factors; at most one grid is held, and it stays in memory after a run.
+initial states.  They share one run context, and one slot keeps the
+last context, keyed on (params, t_max, dt, reservoir).  Its record holds
+
+  * the propagator grid, with read-only times and factors, from
+    scenario_grid;
+  * the read-only nB, from one bath_contribution call on the context's
+    first assembly, so that a run assembles only its mu and dmu forms;
+  * the last series decision_series assembled, returned again (under the
+    caller's scenario, and so the caller's label) for the same initial
+    state;
+  * once conditional_runs asks for them, the read-only n of the four
+    runs started from the sharp basis states.
+
+The slot is emptied before a different context is built, so at most one
+record is held, and it stays in memory after a run.  A run that fails
+keeps no series, and a failing conditional run keeps no conditional n.
 The grid builds its player factors on the first assembly and its V
 array only when V is read (by the propagator defect oracle and by
 tests), each at most once.
-
-A run depends on every scenario field but the label, so decision_series
-keeps its last result too, keyed on (params, t_max, dt, reservoir,
-initial).  Its mu, dmu, nB and n arrays are read-only, like times; a
-repeated call returns the same arrays under the caller's scenario (and
-so the caller's label) instead of assembling them again.  At most one
-series is held, and it is dropped before a different one is assembled.
 """
 
 from __future__ import annotations
@@ -106,6 +113,7 @@ __all__ = [
     "bath_contribution",
     "scenario_grid",
     "decision_series",
+    "conditional_runs",
 ]
 
 COND_LIMIT = 1e8
@@ -120,10 +128,8 @@ CHUNK_POINTS = 16384
 _b1, _b2 = build_mode_operators()
 _MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])
 
-# the last grid scenario_grid built, under its key; at most one entry
-_grid_slot: dict = {}
-# the last series decision_series assembled, under its key; at most one entry
-_series_slot: dict = {}
+# the record of the last run context, under its key; at most one entry
+_context_slot: dict = {}
 
 
 class NumericalError(RuntimeError):
@@ -395,56 +401,75 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
     return f
 
 
-def scenario_grid(s: Scenario) -> PropagatorGrid:
-    """The propagator grid of s, reusing the last grid built.
+@dataclass
+class _Context:
+    """What every run in one (params, t_max, dt, reservoir) context shares."""
 
-    The grid is propagator(build_generator(s.params),
-    make_times(s.t_max, s.dt)).  The cache key is (s.params, s.t_max,
-    s.dt), so scenarios that differ only in reservoir, initial state or
-    label share a grid.  The one slot is emptied before a different grid
-    is built, so at most one grid is ever held, and it stays in memory
-    after the run.  Its times and factor arrays are read-only.
-    """
-    key = (s.params, s.t_max, s.dt)
-    grid = _grid_slot.get(key)
-    if grid is None:
-        _grid_slot.clear()  # release the old grid before building the next
+    grid: PropagatorGrid
+    nB: np.ndarray | None = None
+    series: DecisionSeries | None = None
+    conditional_n: tuple[np.ndarray, ...] | None = None
+
+
+def _context(s: Scenario) -> _Context:
+    """The kept record of s's run context, built with its grid if new."""
+    key = (s.params, s.t_max, s.dt, s.reservoir)
+    context = _context_slot.get(key)
+    if context is None:
+        _context_slot.clear()  # release the old record before building the next
         grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
         for values in (grid.times, *grid.factors):
             values.flags.writeable = False
-        _grid_slot[key] = grid
-    return grid
+        context = _context_slot[key] = _Context(grid)
+    return context
+
+
+def scenario_grid(s: Scenario) -> PropagatorGrid:
+    """The propagator grid of s, the one its run context keeps.
+
+    The grid is propagator(build_generator(s.params),
+    make_times(s.t_max, s.dt)), built once per run context, that is per
+    (s.params, s.t_max, s.dt, s.reservoir): scenarios that differ only in
+    initial state or label share it.  The slot is emptied before a
+    different context is built, so at most one grid is ever held, and it
+    stays in memory after the run.  Its times and factor arrays are
+    read-only.
+    """
+    return _context(s).grid
 
 
 def decision_series(s: Scenario) -> DecisionSeries:
     """Run a scenario: propagate, assemble n_j = mu + dmu + nB.
 
-    The propagator comes from scenario_grid(s), keyed on (params, t_max,
-    dt), and stays in memory after the run; the returned times array is
-    that grid's read-only one.
+    The grid and nB come from the run context of s, keyed on (params,
+    t_max, dt, reservoir): nB is assembled on the context's first run
+    and read-only, so a run assembles its mu and dmu forms only.  The
+    returned times array is the grid's read-only one.
     Two checks run on every assembly: n_j(0) must reproduce the Born
     marginals within 1e-10, and the decision functions must stay inside
     [-1e-8, 1 + 1e-8]; violations raise NumericalError with the
     offending values.  nB(0) is 0 by construction (the bath form is taken
     relative to its value at t=0); dmu(0) is not checked on its own.
 
-    The last result is kept, keyed on (params, t_max, dt, reservoir,
-    initial): every scenario field but the label, and everything
-    validate_scenario reads.  A call with the same key returns the kept
-    arrays with scenario=s, so the label is always the caller's.  The
-    mu, dmu, nB and n arrays are read-only.  The slot is emptied before
-    a different run is assembled, so a failed run leaves it empty.
+    The context also keeps the last result.  A call with the same initial
+    state in the same context returns the kept arrays with scenario=s, so
+    the label is always the caller's.  The mu, dmu, nB and n arrays are
+    read-only.  The kept series is dropped before a different run is
+    assembled, so a failed run leaves none.
     """
-    key = (s.params, s.t_max, s.dt, s.reservoir, s.initial)
-    last = _series_slot.get(key)
-    if last is not None:
+    context = _context(s)
+    last = context.series
+    if last is not None and last.scenario.initial == s.initial:
         return replace(last, scenario=s)
-    _series_slot.clear()  # release the old series before assembling the next
-    grid = scenario_grid(s)
+    context.series = None  # release the old series before assembling the next
+    grid = context.grid
+    if context.nB is None:
+        nB = bath_contribution(s.reservoir, s.params, grid).T
+        nB.flags.writeable = False
+        context.nB = nB
     mu = mu_player(grid, s.initial).T
     dmu = delta_mu(grid, s.initial).T
-    nB = bath_contribution(s.reservoir, s.params, grid).T
-    n = mu + dmu + nB
+    n = mu + dmu + context.nB
 
     _, p1_1, _, p2_1 = born_probabilities(s.initial)
     start_dev = max(abs(n[0, 0] - p1_1), abs(n[0, 1] - p2_1))
@@ -457,8 +482,30 @@ def decision_series(s: Scenario) -> DecisionSeries:
         raise NumericalError(
             f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
             f"range [{low:.6g}, {high:.6g}] (scenario {s.label!r})")
-    for values in (mu, dmu, nB, n):
+    for values in (mu, dmu, n):
         values.flags.writeable = False
-    series = DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=nB, n=n, scenario=s)
-    _series_slot[key] = series
+    series = DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=context.nB,
+                            n=n, scenario=s)
+    context.series = series
     return series
+
+
+def conditional_runs(s: Scenario) -> tuple[np.ndarray, ...]:
+    """n of the four runs of s's context started from sharp basis states.
+
+    A tuple of read-only (nt, 2) arrays in basis order phi_00, phi_10,
+    phi_01, phi_11, the conditional runs of the law of total
+    probability.  They depend on s only through its run context, which
+    keeps them: the first call in a context runs each as a full
+    decision_series call, run-time checks included, labelled
+    "<label>|phi<k><l>"; later calls return the kept tuple.  A
+    NumericalError in any of them keeps none.
+    """
+    context = _context(s)
+    if context.conditional_n is None:
+        context.conditional_n = tuple(
+            decision_series(replace(
+                s, initial=InitialState.basis_state(k, l),
+                label=f"{s.label}|phi{k}{l}")).n
+            for l in (0, 1) for k in (0, 1))
+    return context.conditional_n

@@ -260,11 +260,26 @@ class Scenario:
         validate_scenario(self)
 
 
+def _largest_dt(f_max: float) -> float:
+    """The largest float dt with dt * f_max <= GRID_RULE, for f_max > 0.
+
+    GRID_RULE / f_max is within an ulp of it, but its product with f_max
+    can round above GRID_RULE (or the next float up can still pass), so
+    the quotient is stepped one ulp at a time to the boundary.
+    """
+    dt = GRID_RULE / f_max
+    while dt * f_max > GRID_RULE:
+        dt = math.nextafter(dt, 0.0)
+    while math.nextafter(dt, math.inf) * f_max <= GRID_RULE:
+        dt = math.nextafter(dt, math.inf)
+    return dt
+
+
 def default_dt(params: ModelParams) -> float:
-    """Default step: min(1e-4, 0.1 / f_max), satisfying the grid rule."""
+    """Default step: min(1e-4, the largest dt the grid rule allows)."""
     if params.f_max == 0.0:
         return 1e-4
-    return min(1e-4, GRID_RULE / params.f_max)
+    return min(1e-4, _largest_dt(params.f_max))
 
 
 def validate_scenario(s: Scenario) -> Scenario:
@@ -272,8 +287,9 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     Raises ScenarioError, naming the field, on a field of the wrong type,
     on domain violations, on a non-positive or non-ordered grid, on a grid
-    too coarse for the fastest frequency (dt * f_max must stay below 0.1;
-    the message reports the required dt), on a grid of more than
+    too coarse for the fastest frequency (dt * f_max must be at most 0.1;
+    the message reports the product and the largest dt that passes, both
+    at full precision), on a grid of more than
     MAX_GRID_POINTS points (the message reports the bytes the run would
     keep and the largest t_max allowed at that dt) and on
     a t_max that is not a whole number of dt steps within a relative
@@ -297,8 +313,8 @@ def validate_scenario(s: Scenario) -> Scenario:
     f_max = s.params.f_max
     if s.dt * f_max > GRID_RULE:
         raise ScenarioError(
-            f"grid too coarse: dt*f_max = {s.dt * f_max:.3g} > {GRID_RULE}; "
-            f"need dt <= {GRID_RULE / f_max:.3g}")
+            f"grid too coarse: dt*f_max = {s.dt * f_max!r} > {GRID_RULE}; "
+            f"need dt <= {_largest_dt(f_max)!r}")
     steps = s.t_max / s.dt
     nt = round(steps) + 1 if math.isfinite(steps) else math.inf
     if nt > MAX_GRID_POINTS:

@@ -31,12 +31,12 @@ whole production runs:
     residual isolates exactly the interference part dmu_j; the comparison
     is still run through the four conditional simulations, not through
     that identity.  Each of the five runs is a full decision_series call
-    (mu, dmu, bath, run-time checks), so R never reads dmu; they differ
-    only in the initial state, so dynamics builds their propagator once.
-    The four conditional runs do not depend on the state under test, so
-    their n is kept, read-only, keyed on (params, t_max, dt, reservoir):
-    a sweep over initial states or a second scenario that differs only
-    in its initial state runs them once.
+    (mu, dmu, run-time checks, and the bath part of their shared run
+    context), so R never reads dmu.  The conditional runs come from
+    dynamics.conditional_runs, which keeps their n in the run context of
+    (params, t_max, dt, reservoir): a sweep over initial states, or a
+    second scenario that differs only in its initial state, runs them
+    once.
 
 Matrix residuals use the maximum absolute entry as the norm, which is
 cheap and adequate for fixed 4x4 operators.
@@ -44,12 +44,10 @@ cheap and adequate for fixed 4x4 operators.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import algebra
-from .dynamics import PropagatorGrid, decision_series
+from .dynamics import PropagatorGrid, conditional_runs, decision_series
 from .model import InitialState, ModelParams, Scenario
 
 __all__ = [
@@ -58,10 +56,6 @@ __all__ = [
     "propagator_residual",
     "ltp_residual",
 ]
-
-# ltp_residual's last four conditional runs' n, a tuple in basis order
-# phi_00, phi_10, phi_01, phi_11, under their key; at most one entry
-_conditional_slot: dict = {}
 
 
 def closed_hamiltonian(params: ModelParams) -> np.ndarray:
@@ -129,25 +123,14 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     The residual vanishes identically for basis-state initial conditions
     and reproduces the interference part dmu_j for superpositions.
 
-    The conditional runs' read-only n arrays are kept as a tuple, keyed
-    on (s.params, s.t_max, s.dt, s.reservoir).  The first time a key is
-    seen, each conditional run is a full decision_series call with its
-    run-time checks; a NumericalError there leaves nothing kept.  The
-    slot is emptied before a different key runs.
+    The conditional runs' n comes from dynamics.conditional_runs(s): the
+    first time s's run context asks for it, each conditional run is a
+    full decision_series call with its run-time checks, and a
+    NumericalError there keeps none of them.
     """
     series = decision_series(s)
-    key = (s.params, s.t_max, s.dt, s.reservoir)
-    conditional_n = _conditional_slot.get(key)
-    if conditional_n is None:
-        _conditional_slot.clear()  # release the old runs before the next
-        conditional_n = tuple(
-            decision_series(dataclasses.replace(
-                s, initial=InitialState.basis_state(k, l),
-                label=f"{s.label}|phi{k}{l}")).n
-            for l in (0, 1) for k in (0, 1))
-        _conditional_slot[key] = conditional_n
     weights = np.abs(s.initial.amplitudes) ** 2
     classical = np.zeros_like(series.n)
-    for w, n in zip(weights, conditional_n):
+    for w, n in zip(weights, conditional_runs(s)):
         classical += w * n
     return series.times, series.n - classical

@@ -1,32 +1,37 @@
 """Shared fixtures and strategies for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qduet import dynamics, oracle
+from qduet import dynamics
 from qduet.dynamics import decision_series
 from qduet.model import PRESETS
 
 
-def kept_slots():
-    """Every `_*_slot` dict that dynamics and oracle define."""
-    return [value for module in (dynamics, oracle)
-            for name, value in vars(module).items()
-            if name.startswith("_") and name.endswith("_slot")
-            and isinstance(value, dict)]
-
-
 def empty_slots():
-    """Drop everything the modules keep: grid, series, conditional runs."""
-    for slot in kept_slots():
-        slot.clear()
+    """Drop the kept run context: grid, nB, series and conditional runs."""
+    dynamics._context_slot.clear()
 
 
 @pytest.fixture(autouse=True)
 def clear_slots():
-    """Start every test with no kept grid, series or conditional runs."""
+    """Start every test with no kept run context."""
     empty_slots()
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named dynamics functions, by name."""
+    counts = Counter()
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(dynamics, name),
+                     **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, counting)
+    return counts
 
 
 @st.composite

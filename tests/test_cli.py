@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_slots
-from qduet import cli, dynamics, oracle
+from conftest import count_calls, empty_slots
+from qduet import cli, oracle
 from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv, write_svg
-from qduet.dynamics import DecisionSeries, bath_contribution, decision_series, propagator
+from qduet.dynamics import DecisionSeries, decision_series
 from qduet.model import PRESETS, ScenarioError, save_scenario, scenario_to_dict
 
 
@@ -210,38 +210,29 @@ def test_all_presets_conflicts_with_single_source(capsys):
 
 
 def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):
-    # the run, --oracle and the four LTP conditionals share one grid; each
-    # distinct run is assembled once (one bath_contribution call each):
-    # --ltp reuses the run itself, and fig*-right reuses fig*-left's
-    # conditional runs
-    builds, assemblies = [], []
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return propagator(*args, **kwargs)
-
-    def counting_bath(*args):
-        assemblies.append(1)
-        return bath_contribution(*args)
-
-    monkeypatch.setattr(dynamics, "propagator", counting)
-    monkeypatch.setattr(dynamics, "bath_contribution", counting_bath)
+    # a run context is (params, t_max, dt, reservoir): the run, --oracle
+    # and the four LTP conditionals share its grid and its one bath solve.
+    # Each distinct run is assembled once (one mu_player call each): --ltp
+    # reuses the run itself, and fig*-right reuses fig*-left's conditional
+    # runs.  The eight presets hold four contexts.
+    counts = count_calls(monkeypatch, "propagator", "mu_player",
+                         "bath_contribution")
     common = ["--t-max", "0.05", "--no-csv", "--out", str(tmp_path)]
     one = ["--preset", "fig6-left"]
-    for argv, n_builds, n_assemblies in ((one, 1, 1),
-                                         (one + ["--ltp", "--oracle"], 1, 5),
-                                         (["--all-presets", "--ltp"], 3, 24)):
+    for argv, expected in ((one, (1, 1, 1)),
+                           (one + ["--ltp", "--oracle"], (1, 5, 1)),
+                           (["--all-presets", "--ltp"], (4, 24, 4))):
         empty_slots()
-        builds.clear()
-        assemblies.clear()
+        counts.clear()
         code, _, err = run_cli(argv + common, capsys)
         assert code == 0, err
-        assert (len(builds), len(assemblies)) == (n_builds, n_assemblies)
+        assert (counts["propagator"], counts["mu_player"],
+                counts["bath_contribution"]) == expected
     empty_slots()
-    builds.clear()
-    assemblies.clear()
+    counts.clear()
     oracle.ltp_residual(PRESETS["fig6-right"])
-    assert (len(builds), len(assemblies)) == (1, 5)
+    assert (counts["propagator"], counts["mu_player"],
+            counts["bath_contribution"]) == (1, 5, 1)
 
 
 def test_grid_too_large_is_config_error(tmp_path, capsys):

@@ -74,13 +74,21 @@ SHORT = dataclasses.replace(PRESETS["fig6-left"], t_max=0.05, label="short")
 
 
 def test_scenario_grid_is_shared_and_read_only():
+    # one kept record per (params, t_max, dt, reservoir): runs that differ
+    # only in the initial state or the label share its grid and its nB
     series = decision_series(SHORT)
-    grid = scenario_grid(dataclasses.replace(
-        SHORT, initial=InitialState.basis_state(1, 0),
-        reservoir=ReservoirState(1.0, 0.0), label="other"))
-    assert grid.times is series.times
+    other = dataclasses.replace(SHORT, initial=InitialState.basis_state(1, 0),
+                                label="other")
+    grid = scenario_grid(other)
+    other_series = decision_series(other)
+    (context,) = dynamics._context_slot.values()
+    assert context.grid is grid and context.series is other_series
+    assert grid.times is series.times is other_series.times
+    assert series.nB is other_series.nB is context.nB
     with pytest.raises(ValueError):
         series.times[0] = 1.0
+    with pytest.raises(ValueError):
+        series.nB[0, 0] = 1.0
     with pytest.raises(ValueError):
         grid.V[0, 0, 0] = 0.0
 
@@ -88,6 +96,7 @@ def test_scenario_grid_is_shared_and_read_only():
 @pytest.mark.parametrize("change", [
     dict(t_max=0.04), dict(dt=5e-5),
     dict(params=dataclasses.replace(SHORT.params, mu_ex=10.5)),
+    dict(reservoir=ReservoirState(1.0, 0.0)),
 ])
 def test_scenario_grid_rebuilds_for_a_new_key(change):
     scenario_grid(SHORT)
@@ -109,6 +118,26 @@ def test_scenario_grid_releases_the_old_grid_first(monkeypatch):
     monkeypatch.setattr(dynamics, "propagator", checking)
     scenario_grid(dataclasses.replace(SHORT, t_max=0.04))
     assert old() is None
+
+
+def test_failed_run_keeps_no_series(monkeypatch):
+    expected = decision_series(SHORT)
+    other = dataclasses.replace(SHORT, initial=InitialState.basis_state(1, 0))
+    empty_slots()
+    decision_series(other)
+
+    def failing(*args):
+        raise dynamics.NumericalError("injected failure")
+
+    monkeypatch.setattr(dynamics, "delta_mu", failing)
+    with pytest.raises(dynamics.NumericalError, match="injected failure"):
+        decision_series(SHORT)
+    (context,) = dynamics._context_slot.values()
+    assert context.series is None and context.conditional_n is None
+    monkeypatch.undo()
+    series = decision_series(SHORT)
+    for name in ("mu", "dmu", "nB", "n"):
+        assert np.array_equal(getattr(series, name), getattr(expected, name))
 
 
 def test_make_times():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import amplitude_vectors
@@ -247,6 +247,32 @@ def test_default_dt():
     assert default_dt(make_params(mu_ex=2000.0)) == pytest.approx(0.1 / 2000.0)
     slow = make_params(omega1=0.5, omega2=0.5, lambda1=0.0, lambda2=0.0)
     assert default_dt(slow) == pytest.approx(1e-4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_max=st.floats(4.0, 1e7))
+@example(f_max=7.0)  # the "need dt <= 0.0143" of a rounded message
+@example(f_max=682611.6436983886)  # 0.1 / f_max * f_max rounds above 0.1
+def test_named_dt_passes_the_grid_rule(f_max):
+    # default_dt and the dt a too-coarse grid's message names both pass,
+    # and the named dt is the largest that does
+    params = ModelParams(mu_ex=f_max, mu_coop=0.0, **C2)  # C2's rates are < 4
+    assert params.f_max == f_max
+    base = PRESETS["fig3-left"]
+
+    def scenario(dt):
+        return Scenario(params=params, reservoir=base.reservoir,
+                        initial=base.initial, t_max=10 * dt, dt=dt)
+
+    scenario(default_dt(params))
+    with pytest.raises(ScenarioError) as err:
+        scenario(1.0)
+    assert f"dt*f_max = {f_max!r} > 0.1" in str(err.value)
+    named = float(str(err.value).split("need dt <= ")[1])
+    assert named > 0.0
+    scenario(named)
+    with pytest.raises(ScenarioError, match="grid too coarse"):
+        scenario(math.nextafter(named, math.inf))
 
 
 def test_preset_table():

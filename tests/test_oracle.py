@@ -1,20 +1,22 @@
 """Independent verification paths: closed evolution, ODE defect, LTP."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_slots, kept_slots
+from conftest import count_calls, empty_slots
 from test_dynamics import exceptional_params
-from qduet import dynamics, oracle
+import qduet.cli  # noqa: F401  (scanned for slots with the package)
+from qduet import dynamics
 from qduet.dynamics import (
     NumericalError,
-    bath_contribution,
     decision_series,
     make_times,
+    mu_player,
     propagator,
 )
 from qduet.model import (
@@ -197,22 +199,27 @@ def test_ltp_residual_oscillates_for_phased_superposition():
     assert sign_changes > 10
 
 
+@pytest.mark.parametrize("name, dt", [("fig1-right", 2e-4), ("fig6-right", 1e-3)])
+def test_interference_is_a_transient(name, dt):
+    # a damped generator sends V(t) to 0, so dmu and R vanish and the
+    # stabilised n is the same from every initial state
+    s = dataclasses.replace(PRESETS[name], t_max=5.0, dt=dt)
+    times, R = ltp_residual(s)
+    tail = times >= 0.9 * s.t_max
+    assert np.abs(R).max() > 0.1
+    assert np.abs(R[tail]).max() <= 1e-9
+    n = decision_series(s).n
+    for conditional_n in dynamics.conditional_runs(s):
+        assert np.abs(conditional_n[tail] - n[tail]).max() <= 1e-9
+
+
 def test_phase_sweep_builds_one_grid(monkeypatch):
-    # every step shares params, t_max and dt; only the initial state moves.
-    # Each step assembles its own run once (ltp_residual reuses it), and
-    # the four conditional runs are assembled on the first step only.
-    builds, assemblies = [], []
-
-    def counting(*args):
-        builds.append(1)
-        return propagator(*args)
-
-    def counting_bath(*args):
-        assemblies.append(1)
-        return bath_contribution(*args)
-
-    monkeypatch.setattr(dynamics, "propagator", counting)
-    monkeypatch.setattr(dynamics, "bath_contribution", counting_bath)
+    # every step shares params, t_max, dt and reservoir; only the initial
+    # state moves.  Each step assembles its own run once (ltp_residual
+    # reuses it), the four conditional runs are assembled on the first
+    # step only, and the bath part is solved once for the whole sweep.
+    counts = count_calls(monkeypatch, "propagator", "mu_player",
+                         "bath_contribution")
     base = dataclasses.replace(PRESETS["fig1-left"], t_max=0.05)
     for theta in np.linspace(0.0, np.pi / 2, 4):
         phase = np.exp(1j * theta)
@@ -220,7 +227,7 @@ def test_phase_sweep_builds_one_grid(monkeypatch):
             [0.5 * phase, -0.5 * phase, 0.5, -0.5]))
         decision_series(s)
         ltp_residual(s)
-    assert (len(builds), len(assemblies)) == (1, 8)
+    assert counts == {"propagator": 1, "mu_player": 8, "bath_contribution": 1}
 
 
 # scenarios that differ from SLOT_BASE in one field each, the label included
@@ -249,11 +256,19 @@ def _slot_call(op, s):
 
 
 def test_kept_slots_include_every_known_slot():
-    # the autouse fixture empties kept_slots(); a slot it missed would
-    # carry one test's grid or runs into the next
-    kept = {id(slot) for slot in kept_slots()}
-    assert kept >= {id(dynamics._grid_slot), id(dynamics._series_slot),
-                    id(oracle._conditional_slot)}
+    # the autouse fixture empties dynamics._context_slot; any other slot
+    # would carry one test's grid or runs into the next
+    slots = [value for key, module in list(sys.modules.items())
+             if key == "qduet" or key.startswith("qduet.")
+             for name, value in vars(module).items()
+             if name.startswith("_") and name.endswith("_slot")]
+    assert len(slots) == 1 and slots[0] is dynamics._context_slot
+
+
+def _kept_context():
+    """The kept run context record, or None."""
+    assert len(dynamics._context_slot) <= 1
+    return next(iter(dynamics._context_slot.values()), None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,11 +286,13 @@ def test_kept_runs_match_fresh_runs(calls):
     for op, i in calls:
         result = _slot_call(op, SLOT_POOL[i])
         assert all(np.array_equal(a, b) for a, b in zip(result, fresh[op, i]))
-        for slot in kept_slots():
-            assert len(slot) <= 1
-        for kept in oracle._conditional_slot.values():
-            assert len(kept) == 4
-            assert not any(n.flags.writeable for n in kept)
+        context = _kept_context()
+        assert not context.nB.flags.writeable
+        if op == "series":
+            assert context.series.scenario.initial == SLOT_POOL[i].initial
+        if context.conditional_n is not None:
+            assert len(context.conditional_n) == 4
+            assert not any(n.flags.writeable for n in context.conditional_n)
 
 
 def test_failed_conditional_run_keeps_nothing(monkeypatch):
@@ -283,23 +300,25 @@ def test_failed_conditional_run_keeps_nothing(monkeypatch):
     _, expected = ltp_residual(s)
     empty_slots()
     decision_series(s)  # kept, so the first attempt fails in a conditional run
+    counts = count_calls(monkeypatch, "bath_contribution")
     assemblies = []
 
     def every_second_fails(*args):
         assemblies.append(1)
         if len(assemblies) % 2 == 0:
             raise NumericalError("injected failure")
-        return bath_contribution(*args)
+        return mu_player(*args)
 
-    monkeypatch.setattr(dynamics, "bath_contribution", every_second_fails)
+    monkeypatch.setattr(dynamics, "mu_player", every_second_fails)
     # attempt 1: phi00 assembles, phi10 fails; attempt 2: the run itself
-    # assembles again (the failed run emptied the series slot), phi00 fails
+    # assembles again (the failed run dropped the kept series), phi00 fails
     for attempt in (1, 2):
         with pytest.raises(NumericalError, match="injected failure"):
             ltp_residual(s)
         assert len(assemblies) == 2 * attempt
-        assert oracle._conditional_slot == {}
+        context = _kept_context()
+        assert context.series is None and context.conditional_n is None
+    assert counts["bath_contribution"] == 0  # nB stays kept
     monkeypatch.undo()
     _, R = ltp_residual(s)
     assert np.array_equal(R, expected)
-
