@@ -1,6 +1,7 @@
 """Command-line front end: flags, files, exit codes, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -257,13 +258,34 @@ def table_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
 
 
-@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7])
+def split_into(monkeypatch, workers):
+    """Let _write_table use up to `workers` processes on any table."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(cli, "_MIN_VALUES_PER_WORKER", 1)
+
+
+def count_forks(monkeypatch):
+    forks = []
+
+    def fork(_real=os.fork):
+        forks.append(os.getpid())
+        return _real()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("block, workers", [
+    pytest.param(b, w, id=str(b) if w == 1 else f"{b}-{w}workers")
+    for w in (1, 2, 3) for b in (cli._BLOCK_ROWS, 7)])
 @given(ncols=st.integers(1, 3),
        rows=st.sampled_from(["one", "block-1", "block", "block+1", "ragged"]),
        pool=st.lists(table_values, min_size=1, max_size=16),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(deadline=None, max_examples=40)
-def test_write_table_matches_savetxt_bytes(table_dir, block, ncols, rows, pool, seed):
+def test_write_table_matches_savetxt_bytes(table_dir, block, workers, ncols, rows,
+                                           pool, seed):
+    # "one" has fewer rows than workers; with 2 or 3 workers the cuts of
+    # "block+1" and "ragged" fall inside a block
     n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
          "ragged": 3 * block + block // 2 + 1}[rows]
     data = np.random.default_rng(seed).choice(np.array(pool), size=(n, ncols))
@@ -271,9 +293,61 @@ def test_write_table_matches_savetxt_bytes(table_dir, block, ncols, rows, pool, 
     ours, ref = table_dir / "ours.csv", table_dir / "ref.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK_ROWS", block)
+        split_into(mp, workers)
+        forks = count_forks(mp)
         cli._write_table(ours, header, [data[:, k] for k in range(ncols)])
+    assert len(forks) == min(workers, n * ncols) - 1
     np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=header, comments="")
     assert ours.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_failed_table_write_leaves_no_worker(tmp_path, monkeypatch, failing):
+    # a worker's failure is the table's OSError; an interrupt of the parent
+    # propagates.  Either way every worker is killed and reaped.
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def fail_in_one(fh, row, cols, start, stop):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise KeyboardInterrupt if failing == "parent" else RuntimeError
+        write_rows(fh, row, cols, start, stop)
+    monkeypatch.setattr(cli, "_write_rows", fail_in_one)
+    split_into(monkeypatch, 3)
+    path = tmp_path / "broken.csv"
+    error = OSError if failing == "worker" else KeyboardInterrupt
+    with pytest.raises(error, match="broken.csv" if failing == "worker" else None):
+        cli._write_table(path, "t", [np.arange(300.0)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_preset_tables_are_formatted_in_process(tmp_path, capsys, monkeypatch):
+    # no preset's CSV or _ltp.csv reaches the per-worker minimum, on any host
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    forks = count_forks(monkeypatch)
+    code, _, err = run_cli(["--all-presets", "--ltp", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_cli_bytes_do_not_depend_on_the_cpus(tmp_path):
+    # nt=20001: 180009 values, two workers on a host with two usable CPUs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for pin in (True, False):
+        out = tmp_path / ("pinned" if pin else "free")
+        code = (f"import os, sys; sys.path.insert(0, {src!r})\n"
+                f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
+                f"from qduet.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "--preset", "fig3-left", "--t-max", "2",
+             "--out", str(out)], capture_output=True, text=True, check=True)
+        outputs.append((proc.stdout.replace(str(out), "OUT"),
+                        (out / "fig3-left.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == 20002
 
 
 def test_write_svg_matches_per_point_reference(tmp_path, fig6_left):
@@ -313,21 +387,38 @@ def test_cli_import_loads_no_network_modules():
     assert proc.stdout.strip() == "[]"
 
 
-def test_write_csv_streams_a_long_table(tmp_path):
-    # nt=200001 (fig3-left at t_max=20): the table itself is 14.4 MB
+def traced_peak(write, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        write(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_streams_a_long_table(tmp_path, monkeypatch):
+    # nt=200001 (fig3-left at t_max=20): the table itself is 14.4 MB.
+    # tracemalloc sees only this process, so one worker formats every row.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     nt = 200001
     rng = np.random.default_rng(3)
     series = DecisionSeries(times=np.linspace(0.0, 20.0, nt),
                             mu=rng.random((nt, 2)), dmu=rng.random((nt, 2)),
                             nB=rng.random((nt, 2)), n=rng.random((nt, 2)))
     path = tmp_path / "long.csv"
-    tracemalloc.start()
-    try:
-        write_csv(path, series)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    assert traced_peak(write_csv, path, series) < 4e6
     with open(path) as fh:
         lines = sum(1 for _ in fh)
     assert lines == nt + 1
+
+
+def test_write_svg_streams_a_long_polyline(tmp_path):
+    # formatted in one piece, this polyline peaked at 6.0 MB (23.8 MB at
+    # nt=200001); in blocks the peak is ~0.17 MB at any nt
+    nt = 50001
+    times = np.linspace(0.0, 5.0, nt)
+    values = np.random.default_rng(4).random(nt)
+    path = tmp_path / "long.svg"
+    assert traced_peak(write_svg, path, times, values, title="n1", ylabel="n1") < 1e6
+    points = re.findall(r'points="([^"]*)"', path.read_text())
+    assert len(points) == 1 and points[0].count(" ") == nt - 1
