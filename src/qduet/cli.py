@@ -30,9 +30,11 @@ _MIN_VALUES_PER_WORKER) processes, at least one.  So only tables of
 `_ltp.csv` from 43691 rows; every preset at its own t_max (5001 rows) is
 written by one process.  The process formats the first range, and forked
 workers format the others into anonymous temporary files in the output
-directory, which are appended in order in-kernel.  Each row is formatted
-by the same call in whichever process formats it, so the bytes do not
-depend on the worker count or on the CPUs available.  Charts are
+directory, which are appended in order in-kernel.  A table is written
+under a temporary name in its directory and renamed onto its path only
+once complete, so a failed write leaves the path as it was.  Each row is
+formatted by the same call in whichever process formats it, so the bytes
+do not depend on the worker count or on the CPUs available.  Charts are
 streamed as well: the polyline's coordinates are computed and formatted
 one block of _BLOCK_ROWS points at a time, with the same float
 operations as per point.
@@ -113,14 +115,38 @@ def _append(fh, part) -> None:
         offset += copied
 
 
+def _create_beside(path: Path):
+    """A new file, open for writing, in path's directory, and its name.
+
+    open(..., "x") gives it the mode open(path, "w") would give path.
+    """
+    while True:
+        temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+        with contextlib.suppress(FileExistsError):
+            return temp, open(temp, "x")
+
+
 def _write_table(path: str | Path, header: str, cols) -> None:
+    # written under a temporary name and renamed onto path only once
+    # complete, so a failed write leaves path as it was
+    temp, fh = _create_beside(Path(path))
+    try:
+        with fh:
+            _format_table(fh, path, header, cols)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _format_table(fh, path: str | Path, header: str, cols) -> None:
     # 17 significant digits reproduce every double exactly
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     nrows = len(cols[0])
     workers = _worker_count(nrows * len(cols))
     cuts = [nrows * k // workers for k in range(workers + 1)]
     pids = []
-    with open(path, "w") as fh, contextlib.ExitStack() as stack:
+    with contextlib.ExitStack() as stack:
         parts = [stack.enter_context(tempfile.TemporaryFile("w+", dir=Path(path).parent))
                  for _ in range(workers - 1)]
         try:

@@ -29,35 +29,37 @@ for a Hermitian 4x4 weight W:
     solution X obeys A X + X A^dag = 0, is constant under the flow and
     cancels.
 
-U is build_generator's plain 4x4 array.  The propagator is kept as the
-factors of one of two routes, and no (nt, 4, 4) array of V is formed to
-assemble a run.  Both routes give the player rows as a product
-V_j(t_{iB+b}) = L_i[j] R_b, so f_j^W(t_{iB+b}) is the Hermitian form
-Re(conj(x) C_b x^T) in the 4-vector x = L_i[j], with C_b = conj(R_b) W R_b^T:
+U is build_generator's plain 4x4 array.  A propagator grid holds the
+player rows of V and no other propagator data:
+rows[c, j - 1, k] = V_jc(t_k) for j = 1, 2, a read-only (4, 2, nt) array
+of 128 bytes per point, half of V and the half every form reads.  No
+(nt, 4, 4) array of V is formed.  Both routes give the player rows as a
+product, built once per grid, in fixed chunks, and f_j^W(t_k) is the
+Hermitian form Re(conj(x) W x^T) in the 4-vector x = rows[:, j - 1, k]:
 
   * Eigendecomposition: U = P diag(w) P^-1, so V(t) = P diag(phi(t)) P^-1
-    with the phase vector phi(t) = exp(i w t).  B = 1, R_0 = 1, and L_i
-    is the player rows of V(t_i), sum_b phi_b(t_i) P_jb P^-1[b], built
-    once per grid (128 bytes per point, half of V).  A sweep assembles
-    many runs on one grid, and the exponentials and row sums would
-    otherwise be paid again in every one.  (The same form is
-    phi^H C phi in the eigenbasis, with
-    C_ab = conj(P_ja) P_jb (conj(P^-1) W P^-T)_ab, and needs no rows, but
-    its terms grow like cond(P)^2 and round at eps cond(P)^2: near an
-    exceptional point, at cond(P) ~ 1e4, that fails the 1e-10 Born check
-    at t = 0.  The rows of V round at eps cond(P).)
+    with the phase vector phi(t) = exp(i w t), and the player rows are
+    sum_b phi_b(t) P_jb P^-1[b].  A sweep assembles many runs on one
+    grid, and the exponentials and row sums would otherwise be paid
+    again in every one.  (The same form is phi^H C phi in the
+    eigenbasis, with C_ab = conj(P_ja) P_jb (conj(P^-1) W P^-T)_ab, and
+    needs no rows, but its terms grow like cond(P)^2 and round at
+    eps cond(P)^2: near an exceptional point, at cond(P) ~ 1e4, that
+    fails the 1e-10 Born check at t = 0.  The rows of V round at
+    eps cond(P).)
   * Two-level exponential table: with B = ceil(sqrt(nt)),
     V(t_{qB+b}) = O_q I_b, the outer stack O_q = V(t_{qB}) and the inner
     stack I_b = V(t_b) each about sqrt(nt) exponentials from one batched
-    scaling-and-squaring Taylor series.  L_q is the player rows of O_q
-    and R_b = I_b.
+    scaling-and-squaring Taylor series.  The player rows are those of
+    O_q times I_b, multiplied a block of whole table rows at a time; the
+    stacks are dropped once the rows are built.
 
-One kernel, _form, evaluates the forms in fixed chunks of about
-CHUNK_POINTS grid points, so the scratch an assembly needs is bounded
-whatever t_max is.  U is not normal once damping and couplings compete,
-so P can be ill-conditioned near parameter points where eigenvalues
-coalesce; the table runs instead when cond(P) exceeds 1e8 or when the
-eigen route's V(0) misses the identity by more than 1e-12.
+One kernel, _form, evaluates the forms in fixed chunks of CHUNK_POINTS
+grid points, so the scratch an assembly needs is bounded whatever t_max
+is.  U is not normal once damping and couplings compete, so P can be
+ill-conditioned near parameter points where eigenvalues coalesce; the
+table runs instead when cond(P) exceeds 1e8 or when the eigen route's
+V(0) misses the identity by more than 1e-12.
 
 A Scenario is valid by construction, so nothing here validates it
 again.  Runs in one information environment, that is with the same
@@ -66,7 +68,7 @@ its four law-of-total-probability conditional runs and a sweep over
 initial states.  They share one run context, and one slot keeps the
 last context, keyed on (params, t_max, dt, reservoir).  Its record holds
 
-  * the propagator grid, with read-only times and factors, from
+  * the propagator grid, with read-only times and player rows, from
     scenario_grid;
   * the read-only nB, from one bath_contribution call on the context's
     first assembly, so that a run assembles only its mu and dmu forms;
@@ -79,16 +81,12 @@ last context, keyed on (params, t_max, dt, reservoir).  Its record holds
 The slot is emptied before a different context is built, so at most one
 record is held, and it stays in memory after a run.  A run that fails
 keeps no series, and a failing conditional run keeps no conditional n.
-The grid builds its player factors on the first assembly and its V
-array only when V is read (by the propagator defect oracle and by
-tests), each at most once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -120,8 +118,8 @@ COND_LIMIT = 1e8
 IDENTITY_TOL = 1e-12
 BOUND_TOL = 1e-8
 # grid points per chunk of the quadratic-form kernel and of the eigen
-# route's row build; the table route takes whole rows of B points, at
-# least one
+# route's row build; the table route's row build takes whole table rows
+# of B points, at least one
 CHUNK_POINTS = 16384
 
 # B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
@@ -138,53 +136,17 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorGrid:
-    """V(t_k) = exp(i U t_k) on a uniform grid starting at 0, as factors.
+    """The player rows of V(t_k) = exp(i U t_k) on a uniform grid from 0.
 
-    factors is (w, P, P^-1) on the eigendecomposition route and
-    (outer, inner) on the two-level table, which runs instead when
-    used_fallback is True.  V, the (nt, 4, 4) array itself, is built from
-    the factors on first access and kept read-only; no run reads it.
+    rows[c, j - 1, k] = V_jc(t_k) for the players j = 1, 2, a read-only
+    (4, 2, nt) complex array built by propagator.  used_fallback is True
+    when the two-level exponential table built them instead of the
+    eigendecomposition.
     """
 
     times: np.ndarray
     used_fallback: bool
-    factors: tuple[np.ndarray, ...]
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        """The (nt, 4, 4) array of V(t_k), built once from the factors."""
-        if self.used_fallback:
-            outer, inner = self.factors
-            V = (outer[:, None] @ inner[None]).reshape(-1, 4, 4)[:len(self.times)]
-        else:
-            w, P, Pinv = self.factors
-            V = np.einsum("ab,tb,bc->tac", P, _phases(self.times, w), Pinv)
-        V.flags.writeable = False
-        return V
-
-    @cached_property
-    def player_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, R) with V_jc(t_{iB+b}) = sum_a L[a, j, i] R[b, a, c], read-only.
-
-        On the table route L holds the player rows of the outer stack and
-        R is the inner stack.  On the eigen route B = 1, R = [1], and L
-        holds the player rows of V itself, built once, chunk by chunk, as
-        sum_b phi_b(t) P_jb P^-1[b]: half of V, the half every form reads.
-        """
-        if self.used_fallback:
-            outer, inner = self.factors
-            return outer[:, :2].transpose(2, 1, 0), inner
-        w, P, Pinv = self.factors
-        QT = (P[:2, :, None] * Pinv).transpose(1, 2, 0)  # QT[b, c, j] = P_jb P^-1_bc
-        rows = np.empty((4, 2, len(self.times)), dtype=complex)
-        for k0 in range(0, len(self.times), CHUNK_POINTS):
-            phi = _phases(self.times[k0:k0 + CHUNK_POINTS], w).T
-            chunk = rows[:, :, k0:k0 + CHUNK_POINTS]
-            np.multiply(QT[0, :, :, None], phi[0], out=chunk)
-            for b in range(1, 4):
-                chunk += QT[b, :, :, None] * phi[b]
-        rows.flags.writeable = False
-        return rows, np.eye(4)[None]
+    rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,20 +203,24 @@ def _check_times(times: np.ndarray) -> float:
 
 
 def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
-    """The factors of V(t) = exp(i U t) on the whole grid.
+    """The player rows of V(t) = exp(i U t) on the whole grid.
 
-    Route 1: one eigendecomposition U = P diag(w) P^-1, kept as
-    (w, P, P^-1).  Route 2 (fallback): the table
-    V(t_{qB+b}) = V(t_{qB}) V(t_b) with B = ceil(sqrt(nt)), kept as its two
-    factor stacks from _expm_stack, used when P is ill-conditioned
-    (cond > 1e8, U nearly defective) or when route 1 fails to reproduce
-    V(0) = 1 within 1e-12.
+    Route 1: one eigendecomposition U = P diag(w) P^-1, the rows summed
+    over the phases exp(i w t).  Route 2 (fallback): the table
+    V(t_{qB+b}) = V(t_{qB}) V(t_b) with B = ceil(sqrt(nt)), the rows
+    multiplied out of its two stacks from _expm_stack; it runs when P is
+    ill-conditioned (cond > 1e8, U nearly defective) or when route 1
+    fails to reproduce V(0) = 1 within 1e-12.  Either route builds the
+    rows in chunks of about CHUNK_POINTS points and returns them
+    read-only.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
     U = np.asarray(U, dtype=complex)
     if not np.all(np.isfinite(U)):
         raise ValueError("generator contains non-finite entries")
+    nt = len(times)
+    rows = np.empty((4, 2, nt), dtype=complex)
 
     try:
         w, P = np.linalg.eig(U)
@@ -263,11 +229,19 @@ def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
         cond = np.inf
     if np.isfinite(cond) and cond <= COND_LIMIT:
         Pinv = np.linalg.inv(P)
-        V0 = np.einsum("ab,tb,bc->tac", P, _phases(times[:1], w), Pinv)[0]
+        V0 = np.einsum("ab,tb,bc->tac", P, np.exp(1j * np.outer(times[:1], w)),
+                       Pinv)[0]
         if np.abs(V0 - np.eye(4)).max() <= IDENTITY_TOL:
-            return PropagatorGrid(times=times, used_fallback=False,
-                                  factors=(w, P, Pinv))
-    B = math.isqrt(len(times) - 1) + 1  # ceil(sqrt(nt))
+            QT = (P[:2, :, None] * Pinv).transpose(1, 2, 0)  # QT[b, c, j] = P_jb P^-1_bc
+            for k0 in range(0, nt, CHUNK_POINTS):
+                phi = np.exp(1j * np.outer(times[k0:k0 + CHUNK_POINTS], w)).T
+                chunk = rows[:, :, k0:k0 + CHUNK_POINTS]
+                np.multiply(QT[0, :, :, None], phi[0], out=chunk)
+                for b in range(1, 4):
+                    chunk += QT[b, :, :, None] * phi[b]
+            rows.flags.writeable = False
+            return PropagatorGrid(times=times, used_fallback=False, rows=rows)
+    B = math.isqrt(nt - 1) + 1  # ceil(sqrt(nt))
     outer = _expm_stack(1j * U * times[::B, None, None])
     inner = _expm_stack(1j * U * (times[:B] - times[0])[:, None, None])
     V0_dev = np.abs(outer[0] @ inner[0] - np.eye(4)).max()
@@ -276,12 +250,14 @@ def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
             f"propagator failed on both routes: eigenvector condition "
             f"number {cond:.3g}, fallback V(0) deviates from identity by "
             f"{V0_dev:.3g}")
-    return PropagatorGrid(times=times, used_fallback=True, factors=(outer, inner))
-
-
-def _phases(times: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The phase vectors phi(t) = exp(i w t), one row per time."""
-    return np.exp(1j * np.outer(times, w))
+    per_block = max(1, CHUNK_POINTS // B)
+    for q in range(0, len(outer), per_block):
+        # einsum without BLAS: scratch of one block, whatever the grid
+        block = np.einsum("qja,bac->cjqb", outer[q:q + per_block, :2], inner)
+        chunk = rows[:, :, q * B:(q + per_block) * B]
+        chunk[...] = block.reshape(4, 2, -1)[:, :, :chunk.shape[-1]]
+    rows.flags.writeable = False
+    return PropagatorGrid(times=times, used_fallback=True, rows=rows)
 
 
 def _expm_stack(M: np.ndarray) -> np.ndarray:
@@ -302,28 +278,27 @@ def _expm_stack(M: np.ndarray) -> np.ndarray:
     return E
 
 
-def _form(x: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Re(conj(x) C x^T) for every 4-vector x[:, ...] and every C of a
-    (B, 4, 4) Hermitian stack, as an array of shape (B,) + x.shape[1:].
+def _form(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Re(conj(x) W x^T) for every 4-vector x[:, ...], W Hermitian, as an
+    array of shape x.shape[1:].
 
-    Only the upper triangle of each C is read.  The terms are summed
-    elementwise in a fixed order, skipping weights that are zero in every
-    C: a zero weight adds an exact zero, each output depends only on its
-    own x and C (so the chunking never changes a bit), and no BLAS call
-    wakes the worker threads.
+    Only the upper triangle of W is read.  The terms are summed
+    elementwise in a fixed order, skipping zero weights: a zero weight
+    adds an exact zero, each output depends only on its own x (so the
+    chunking never changes a bit), and no BLAS call wakes the worker
+    threads.
     """
-    real, imag = C.real.any(axis=0), C.imag.any(axis=0)
-    f = np.zeros(C.shape[:1] + x.shape[1:])
+    f = np.zeros(x.shape[1:])
     for a in range(4):
-        if real[a, a]:
-            f += np.multiply.outer(C[:, a, a].real, x[a].real ** 2 + x[a].imag ** 2)
+        if W[a, a].real:
+            f += W[a, a].real * (x[a].real ** 2 + x[a].imag ** 2)
         for b in range(a + 1, 4):
-            if real[a, b] or imag[a, b]:
+            if W[a, b]:
                 p = x[a].conj() * x[b]
                 # 2 Re(c p), doubling c instead of the sum (exact either way)
-                term = np.multiply.outer(2.0 * C[:, a, b].real, p.real)
-                if imag[a, b]:
-                    term -= np.multiply.outer(2.0 * C[:, a, b].imag, p.imag)
+                term = 2.0 * W[a, b].real * p.real
+                if W[a, b].imag:
+                    term -= 2.0 * W[a, b].imag * p.imag
                 f += term
     return f
 
@@ -332,22 +307,16 @@ def _player_forms(grid: PropagatorGrid, W: np.ndarray) -> np.ndarray:
     """(f_1^W, f_2^W) on the grid as a (2, nt) array; W Hermitian.
 
     Only the upper triangle of W and the real part of its diagonal are
-    read.  With (L, R) = grid.player_factors, f_j^W(t_{iB+b}) is the form
-    in the 4-vector L[:, j, i] with weight C_b = conj(R_b) W R_b^T.  It is
-    evaluated in chunks of about CHUNK_POINTS points (whole rows of B
-    points), writing into one array whose transpose is returned.
+    read.  f_j^W(t_k) is the form in the 4-vector grid.rows[:, j - 1, k],
+    evaluated in chunks of CHUNK_POINTS points, writing into one array
+    whose transpose is returned.
     """
     upper = np.triu(W, 1)
     W = upper + upper.conj().T + np.diag(np.diag(W).real)
-    L, R = grid.player_factors
-    C = R.conj() @ W @ R.transpose(0, 2, 1)
-    B = len(R)
-    per_chunk = max(1, CHUNK_POINTS // B)
-    out = np.empty((L.shape[-1] * B, 2))
-    for i in range(0, L.shape[-1], per_chunk):
-        f = _form(L[..., i:i + per_chunk], C)  # (B, 2, rows in the chunk)
-        out[i * B:(i + per_chunk) * B] = f.transpose(2, 0, 1).reshape(-1, 2)
-    return out[:len(grid.times)].T
+    out = np.empty((len(grid.times), 2))
+    for k0 in range(0, len(grid.times), CHUNK_POINTS):
+        out[k0:k0 + CHUNK_POINTS] = _form(grid.rows[..., k0:k0 + CHUNK_POINTS], W).T
+    return out.T
 
 
 def _gram(initial: InitialState) -> np.ndarray:
@@ -418,8 +387,7 @@ def _context(s: Scenario) -> _Context:
     if context is None:
         _context_slot.clear()  # release the old record before building the next
         grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
-        for values in (grid.times, *grid.factors):
-            values.flags.writeable = False
+        grid.times.flags.writeable = False
         context = _context_slot[key] = _Context(grid)
     return context
 
@@ -432,8 +400,7 @@ def scenario_grid(s: Scenario) -> PropagatorGrid:
     (s.params, s.t_max, s.dt, s.reservoir): scenarios that differ only in
     initial state or label share it.  The slot is emptied before a
     different context is built, so at most one grid is ever held, and it
-    stays in memory after the run.  Its times and factor arrays are
-    read-only.
+    stays in memory after the run.  Its times and rows are read-only.
     """
     return _context(s).grid
 

@@ -304,7 +304,8 @@ def test_write_table_matches_savetxt_bytes(table_dir, block, workers, ncols, row
 @pytest.mark.parametrize("failing", ["worker", "parent"])
 def test_failed_table_write_leaves_no_worker(tmp_path, monkeypatch, failing):
     # a worker's failure is the table's OSError; an interrupt of the parent
-    # propagates.  Either way every worker is killed and reaped.
+    # propagates.  Either way every worker is killed and reaped, and the
+    # table's path is left as it was: absent, or with its old bytes.
     parent, write_rows = os.getpid(), cli._write_rows
 
     def fail_in_one(fh, row, cols, start, stop):
@@ -315,10 +316,27 @@ def test_failed_table_write_leaves_no_worker(tmp_path, monkeypatch, failing):
     split_into(monkeypatch, 3)
     path = tmp_path / "broken.csv"
     error = OSError if failing == "worker" else KeyboardInterrupt
-    with pytest.raises(error, match="broken.csv" if failing == "worker" else None):
-        cli._write_table(path, "t", [np.arange(300.0)])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for old in (None, b"t\n1\n"):
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(error, match="broken.csv" if failing == "worker" else None):
+            cli._write_table(path, "t", [np.arange(300.0)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if old is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == ([] if old is None else [path])
+
+
+def test_table_file_gets_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.csv"
+    open(plain, "w").close()
+    path = tmp_path / "table.csv"
+    cli._write_table(path, "t", [np.arange(3.0)])
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(tmp_path.iterdir()) == [plain, path]
 
 
 def test_preset_tables_are_formatted_in_process(tmp_path, capsys, monkeypatch):

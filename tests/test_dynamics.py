@@ -37,6 +37,7 @@ from qduet.model import (
     born_probabilities,
     build_generator,
 )
+from qduet.oracle import propagator_residual
 
 
 def make_params(**kw):
@@ -73,6 +74,22 @@ params_strategy = st.builds(
 SHORT = dataclasses.replace(PRESETS["fig6-left"], t_max=0.05, label="short")
 
 
+def as_rows(V):
+    """The (4, 2, nt) player-row layout of an (nt, 4, 4) stack of V."""
+    return V[:, :2].transpose(2, 1, 0)
+
+
+def player_rows(grid, i):
+    """The grid's player rows of V(t_i) as a (2, 4) array."""
+    return grid.rows[:, :, i].T
+
+
+def semigroup_deviation(U, grid, i, j):
+    """max |rows(t_{i+j}) - rows(t_i) expm(i U t_j)|."""
+    step = expm(1j * U * grid.times[j])
+    return np.abs(player_rows(grid, i) @ step - player_rows(grid, i + j)).max()
+
+
 def test_scenario_grid_is_shared_and_read_only():
     # one kept record per (params, t_max, dt, reservoir): runs that differ
     # only in the initial state or the label share its grid and its nB
@@ -90,7 +107,7 @@ def test_scenario_grid_is_shared_and_read_only():
     with pytest.raises(ValueError):
         series.nB[0, 0] = 1.0
     with pytest.raises(ValueError):
-        grid.V[0, 0, 0] = 0.0
+        grid.rows[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("change", [
@@ -104,7 +121,7 @@ def test_scenario_grid_rebuilds_for_a_new_key(change):
     grid = scenario_grid(s)
     fresh = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
     assert grid.times.tobytes() == fresh.times.tobytes()
-    assert grid.V.tobytes() == fresh.V.tobytes()
+    assert grid.rows.tobytes() == fresh.rows.tobytes()
     assert grid.used_fallback == fresh.used_fallback
 
 
@@ -150,7 +167,7 @@ def test_make_times():
 def test_propagator_identity_at_zero():
     U = build_generator(make_params(mu_ex=500.0))
     grid = propagator(U, make_times(0.01, 1e-4))
-    assert np.abs(grid.V[0] - np.eye(4)).max() <= 1e-12
+    assert np.abs(player_rows(grid, 0) - np.eye(4)[:2]).max() <= 1e-12
     assert not grid.used_fallback
 
 
@@ -163,7 +180,7 @@ def test_propagator_free_case_diagonal_phases():
     expected = np.zeros((len(times), 4, 4), dtype=complex)
     for k, w in enumerate((-w1, -w2, w1, w2)):
         expected[:, k, k] = np.exp(1j * w * times)
-    assert np.abs(grid.V - expected).max() <= 1e-12
+    assert np.abs(grid.rows - as_rows(expected)).max() <= 1e-12
 
 
 def test_propagator_decoupled_damping_magnitude():
@@ -171,7 +188,7 @@ def test_propagator_decoupled_damping_magnitude():
     gamma1 = params.gamma1
     times = make_times(1.0, 1e-3)
     grid = propagator(build_generator(params), times)
-    assert np.abs(np.abs(grid.V[:, 0, 0]) - np.exp(-gamma1 * times)).max() <= 1e-12
+    assert np.abs(np.abs(grid.rows[0, 0]) - np.exp(-gamma1 * times)).max() <= 1e-12
 
 
 def test_propagator_semigroup_on_stiff_preset():
@@ -180,8 +197,7 @@ def test_propagator_semigroup_on_stiff_preset():
                                       mu_ex=500.0, mu_coop=0.0))
     grid = propagator(U, make_times(0.5, 1e-4))
     for i, j in ((1234, 2345), (100, 4000), (2500, 2500)):
-        dev = np.abs(grid.V[i] @ grid.V[j] - grid.V[i + j]).max()
-        assert dev <= 1e-9
+        assert semigroup_deviation(U, grid, i, j) <= 1e-9
 
 
 @given(params=params_strategy)
@@ -195,7 +211,7 @@ def test_propagator_semigroup_property(params):
         # that regime, it is exercised separately
         assume(np.linalg.cond(np.linalg.eig(U)[1]) < 1e4)
     for i, j in ((3, 5), (10, 17), (20, 20)):
-        assert np.abs(grid.V[i] @ grid.V[j] - grid.V[i + j]).max() <= 1e-9
+        assert semigroup_deviation(U, grid, i, j) <= 1e-9
 
 
 def test_propagator_rejects_bad_grids():
@@ -217,7 +233,7 @@ def test_propagator_fallback_on_defective_generator():
     grid = propagator(U, times)
     assert grid.used_fallback
     expected = np.eye(4)[None, :, :] + 1j * U[None, :, :] * times[:, None, None]
-    assert np.abs(grid.V - expected).max() <= 1e-12
+    assert np.abs(grid.rows - as_rows(expected)).max() <= 1e-12
 
 
 def test_propagator_table_squares_large_steps():
@@ -230,7 +246,8 @@ def test_propagator_table_squares_large_steps():
     assert grid.used_fallback
     iUt = 1j * U[None, :, :] * times[:, None, None]
     expected = np.eye(4) + iUt + iUt @ iUt / 2.0
-    assert np.abs(grid.V - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert (np.abs(grid.rows - as_rows(expected)).max()
+            <= 1e-12 * np.abs(expected).max())
 
 
 exceptional_detunes = st.one_of(
@@ -264,7 +281,7 @@ def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max)
     if not grid.used_fallback:
         tol = max(tol, 4 * np.finfo(float).eps * cond)
     for i in np.linspace(0, len(times) - 1, 20).astype(int):
-        assert np.abs(grid.V[i] - expm(1j * U * times[i])).max() <= tol
+        assert np.abs(player_rows(grid, i) - expm(1j * U * times[i])[:2]).max() <= tol
 
 
 def test_propagator_fallback_near_eigenvalue_coalescence():
@@ -272,7 +289,7 @@ def test_propagator_fallback_near_eigenvalue_coalescence():
     # blows up and either fallback trigger must fire
     grid = propagator(build_generator(exceptional_params()), make_times(1.0, 1e-2))
     assert grid.used_fallback
-    assert np.abs(grid.V[0] - np.eye(4)).max() <= 1e-12
+    assert np.abs(player_rows(grid, 0) - np.eye(4)[:2]).max() <= 1e-12
 
 
 def explicit_form(V, W):
@@ -375,8 +392,8 @@ def test_chunk_length_changes_no_bit(route, monkeypatch):
 @pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
 def test_cold_run_peak_memory_stays_below_V(route):
     # V alone would take 256 B per grid point.  A run keeps at most
-    # RUN_BYTES_PER_POINT (the series, and the player rows of V on the
-    # eigen route) plus the factors, and peaks O(chunk) above that
+    # RUN_BYTES_PER_POINT (the series, and the grid's player rows of V,
+    # built on either route), and peaks O(chunk) above that
     if route == "eigendecomposition":
         s = dataclasses.replace(PRESETS["fig3-left"], t_max=5.0)
     else:
@@ -394,13 +411,19 @@ def test_cold_run_peak_memory_stays_below_V(route):
     assert peak < 256 * nt
 
 
-def test_grid_builds_V_once_and_only_when_read():
-    grid = scenario_grid(SHORT)
-    assert "V" not in vars(grid)
-    decision_series(SHORT)
-    assert "V" not in vars(grid)
-    assert grid.V is grid.V
-    assert grid.V.shape == (len(grid.times), 4, 4)
+def test_grid_builds_rows_once_and_holds_no_V():
+    for route in ("eigendecomposition", "fallback"):
+        s = dataclasses.replace(chunk_scenario(route), t_max=0.05)
+        grid = scenario_grid(s)
+        assert grid.used_fallback == (route == "fallback")
+        rows = grid.rows
+        assert rows.shape == (4, 2, len(grid.times)) and not rows.flags.writeable
+        decision_series(s)
+        propagator_residual(build_generator(s.params), grid)
+        assert scenario_grid(s) is grid and grid.rows is rows
+        assert set(vars(grid)) == {"times", "used_fallback", "rows"}
+        for value in vars(grid).values():
+            assert np.shape(value) != (len(grid.times), 4, 4)
 
 
 def test_mu_player_identity_propagator():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,8 +144,26 @@ def test_propagator_residual_smooth_regime_bound():
                                       mu_ex=500.0, mu_coop=0.0))
     grid = propagator(U, make_times(0.1, 1e-4))
     residual = propagator_residual(U, grid)
-    bound = 1e-5 * np.linalg.norm(U, 2) ** 2 * np.abs(grid.V).max()
+    bound = 1e-5 * np.linalg.norm(U, 2) ** 2 * np.abs(grid.rows).max()
     assert residual <= bound
+
+
+def test_propagator_residual_keeps_no_V():
+    # V would take 256 B per grid point; the residual reads the grid's
+    # player rows (128 B per point), keeps nothing once it returns and
+    # peaks below two V-sized arrays
+    U = build_generator(PRESETS["fig3-left"].params)
+    grid = propagator(U, make_times(5.0, PRESETS["fig3-left"].dt))
+    nt = len(grid.times)
+    assert nt == 50001
+    tracemalloc.start()
+    try:
+        propagator_residual(U, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 ** 16
+    assert peak < 512 * nt
 
 
 def test_propagator_residual_needs_three_points():
