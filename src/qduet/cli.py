@@ -19,22 +19,17 @@ t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2, 17 significant digits) and optionally
 are deterministic: rerunning a configuration reproduces the files byte
 for byte.
 
-Tables are written in blocks of _BLOCK_ROWS rows, each formatted by one
-%-format call over the block's values, so the file never exists as one
-array or one string.  The bytes are those numpy's savetxt writes with
-fmt="%.17g", delimiter="," and the header as its first line.  Where
-os.fork and os.copy_file_range exist (Linux), a table is split into
-contiguous row ranges across min(usable CPUs, values //
-_MIN_VALUES_PER_WORKER) processes, at least one.  So only tables of
-131072 values or more are split: a component table from 14564 rows, an
-`_ltp.csv` from 43691 rows; every preset at its own t_max (5001 rows) is
-written by one process.  The process formats the first range, and forked
-workers format the others into anonymous temporary files in the output
-directory, which are appended in order in-kernel.  A table is written
-under a temporary name in its directory and renamed onto its path only
-once complete, so a failed write leaves the path as it was.  Each row is
-formatted by the same call in whichever process formats it, so the bytes
-do not depend on the worker count or on the CPUs available.  Charts are
+Tables are written in blocks of _BLOCK_ROWS rows, so the file never
+exists as one array or one string.  The bytes are those numpy's savetxt
+writes with fmt="%.17g", delimiter="," and the header as its first line.
+Each block's values are formatted in one call of qduet._g17, which
+computes the 17 digits of every value at once from an exact
+double-double product and lays them out in fixed byte slots; a value it
+cannot place exactly (a tie at the 18th digit, nan, an infinity, a
+subnormal or a magnitude outside [1e-280, 1e280]) is formatted by
+"%.17g" % value itself.  Tables and charts alike are written under a
+temporary name in their directory and renamed onto their path only once
+complete, so a failed write leaves the path as it was.  Charts are
 streamed as well: the polyline's coordinates are computed and formatted
 one block of _BLOCK_ROWS points at a time, with the same float
 operations as per point.
@@ -46,15 +41,13 @@ import argparse
 import contextlib
 import dataclasses
 import os
-import signal
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, oracle
+from . import _g17, analysis, oracle
 from .dynamics import (
     DecisionSeries,
     NumericalError,
@@ -81,101 +74,45 @@ CSV_HEADER = "t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2"
 
 _BLOCK_ROWS = 1024
 
-# A worker is forked only for this many values or more.  A fork plus wait
-# costs ~3.8 ms even from an 80 MB process, and %.17g formats a value in
-# 0.6-0.8 us, so 65536 values are 40-50 ms of formatting, over ten times
-# what the worker costs to start and reap.
-_MIN_VALUES_PER_WORKER = 65536
 
+def _create_beside(path: Path, mode: str):
+    """A new file in path's directory, opened with "x" + mode, and its name.
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count(values: int) -> int:
-    # workers need fork, and their files are appended with copy_file_range
-    if not (hasattr(os, "fork") and hasattr(os, "copy_file_range")):
-        return 1
-    return max(1, min(_usable_cpus(), values // _MIN_VALUES_PER_WORKER))
-
-
-def _write_rows(fh, row: str, cols, start: int, stop: int) -> None:
-    for a in range(start, stop, _BLOCK_ROWS):
-        block = np.column_stack([c[a:min(a + _BLOCK_ROWS, stop)] for c in cols])
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-
-
-def _append(fh, part) -> None:
-    """Append the whole of file `part` to `fh` without reading it into memory."""
-    fh.flush()
-    offset = 0
-    while copied := os.copy_file_range(part.fileno(), fh.fileno(), 1 << 30, offset):
-        offset += copied
-
-
-def _create_beside(path: Path):
-    """A new file, open for writing, in path's directory, and its name.
-
-    open(..., "x") gives it the mode open(path, "w") would give path.
+    open(..., "x") gives it the permission bits open(path, "w") would give
+    path.
     """
     while True:
         temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
         with contextlib.suppress(FileExistsError):
-            return temp, open(temp, "x")
+            return temp, open(temp, "x" + mode)
 
 
-def _write_table(path: str | Path, header: str, cols) -> None:
-    # written under a temporary name and renamed onto path only once
-    # complete, so a failed write leaves path as it was
-    temp, fh = _create_beside(Path(path))
+@contextlib.contextmanager
+def _replacing(path: str | Path, mode: str = ""):
+    """Open a file for writing under a temporary name beside path, and rename
+    it onto path once the block completes.
+
+    So a failed write leaves path as it was: absent, or with its old bytes.
+    """
+    temp, fh = _create_beside(Path(path), mode)
     try:
         with fh:
-            _format_table(fh, path, header, cols)
+            yield fh
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
-def _format_table(fh, path: str | Path, header: str, cols) -> None:
-    # 17 significant digits reproduce every double exactly
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    nrows = len(cols[0])
-    workers = _worker_count(nrows * len(cols))
-    cuts = [nrows * k // workers for k in range(workers + 1)]
-    pids = []
-    with contextlib.ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile("w+", dir=Path(path).parent))
-                 for _ in range(workers - 1)]
-        try:
-            for k, part in enumerate(parts, 1):
-                pid = os.fork()
-                if pid == 0:
-                    # the worker calls no BLAS and never returns into the
-                    # caller's frames, nor flushes the caller's buffers
-                    status = 1
-                    try:
-                        _write_rows(part, row, cols, cuts[k], cuts[k + 1])
-                        part.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                pids.append(pid)
-            fh.write(header + "\n")
-            _write_rows(fh, row, cols, 0, cuts[1])
-            for part in parts:
-                _, status = os.waitpid(pids[0], 0)
-                del pids[0]
-                if status:
-                    raise OSError(f"{path}: a worker formatting its rows failed "
-                                  f"(exit status {os.waitstatus_to_exitcode(status)})")
-                _append(fh, part)
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+def _write_table(path: str | Path, header: str, cols) -> None:
+    # 17 significant digits reproduce every double exactly; a row is its
+    # values in column order, each followed by "," or, last, the newline
+    ends = np.tile(np.frombuffer(b"," * (len(cols) - 1) + b"\n", np.uint8), _BLOCK_ROWS)
+    with _replacing(path, "b") as fh:
+        fh.write(header.encode() + b"\n")
+        for a in range(0, len(cols[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[a:a + _BLOCK_ROWS] for c in cols]).ravel()
+            fh.write(_g17.format_values(block, ends[:block.size]))
 
 
 def write_csv(path: str | Path, series: DecisionSeries) -> None:
@@ -271,7 +208,7 @@ def write_svg(path: str | Path, times: np.ndarray, values: np.ndarray,
     parts.append(f'<text x="16" y="{(top + bottom) / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {(top + bottom) / 2:.1f})">{_escape(ylabel)}</text>')
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("\n".join(parts) + '\n<polyline points="')
         n = len(times)
         for a in range(0, n, _BLOCK_ROWS):

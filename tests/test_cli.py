@@ -1,5 +1,6 @@
 """Command-line front end: flags, files, exit codes, determinism."""
 
+import errno
 import json
 import os
 import re
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, empty_slots
-from qduet import cli, oracle
+from test_g17 import hard_values
+from qduet import _g17, cli, oracle
 from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv, write_svg
 from qduet.dynamics import DecisionSeries, decision_series
 from qduet.model import PRESETS, ScenarioError, save_scenario, scenario_to_dict
@@ -250,7 +252,8 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308, 1e300, -1e300
                   -1e-300, -1e-17, 1.0, -3.0, 2.0 ** 53, 0.1, float("nan"),
                   float("inf"), float("-inf")]
 table_values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(),
-                         st.integers(-10 ** 6, 10 ** 6).map(float))
+                         st.integers(-10 ** 6, 10 ** 6).map(float),
+                         st.sampled_from(hard_values().tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -258,34 +261,13 @@ def table_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
 
 
-def split_into(monkeypatch, workers):
-    """Let _write_table use up to `workers` processes on any table."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(cli, "_MIN_VALUES_PER_WORKER", 1)
-
-
-def count_forks(monkeypatch):
-    forks = []
-
-    def fork(_real=os.fork):
-        forks.append(os.getpid())
-        return _real()
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-@pytest.mark.parametrize("block, workers", [
-    pytest.param(b, w, id=str(b) if w == 1 else f"{b}-{w}workers")
-    for w in (1, 2, 3) for b in (cli._BLOCK_ROWS, 7)])
+@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7], ids=str)
 @given(ncols=st.integers(1, 3),
        rows=st.sampled_from(["one", "block-1", "block", "block+1", "ragged"]),
        pool=st.lists(table_values, min_size=1, max_size=16),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(deadline=None, max_examples=40)
-def test_write_table_matches_savetxt_bytes(table_dir, block, workers, ncols, rows,
-                                           pool, seed):
-    # "one" has fewer rows than workers; with 2 or 3 workers the cuts of
-    # "block+1" and "ragged" fall inside a block
+def test_write_table_matches_savetxt_bytes(table_dir, block, ncols, rows, pool, seed):
     n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
          "ragged": 3 * block + block // 2 + 1}[rows]
     data = np.random.default_rng(seed).choice(np.array(pool), size=(n, ncols))
@@ -293,36 +275,31 @@ def test_write_table_matches_savetxt_bytes(table_dir, block, workers, ncols, row
     ours, ref = table_dir / "ours.csv", table_dir / "ref.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK_ROWS", block)
-        split_into(mp, workers)
-        forks = count_forks(mp)
         cli._write_table(ours, header, [data[:, k] for k in range(ncols)])
-    assert len(forks) == min(workers, n * ncols) - 1
     np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=header, comments="")
     assert ours.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("failing", ["worker", "parent"])
-def test_failed_table_write_leaves_no_worker(tmp_path, monkeypatch, failing):
-    # a worker's failure is the table's OSError; an interrupt of the parent
-    # propagates.  Either way every worker is killed and reaped, and the
-    # table's path is left as it was: absent, or with its old bytes.
-    parent, write_rows = os.getpid(), cli._write_rows
+def test_interrupted_table_write_leaves_the_path_as_it_was(tmp_path, monkeypatch):
+    # an interrupt after the first block propagates, and the table's path
+    # is left as it was: absent, or with its old bytes, and no stray file
+    format_values, calls = _g17.format_values, []
 
-    def fail_in_one(fh, row, cols, start, stop):
-        if (os.getpid() == parent) == (failing == "parent"):
-            raise KeyboardInterrupt if failing == "parent" else RuntimeError
-        write_rows(fh, row, cols, start, stop)
-    monkeypatch.setattr(cli, "_write_rows", fail_in_one)
-    split_into(monkeypatch, 3)
+    def interrupted(values, ends):
+        calls.append(len(values))
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return format_values(values, ends)
+    monkeypatch.setattr(_g17, "format_values", interrupted)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
     path = tmp_path / "broken.csv"
-    error = OSError if failing == "worker" else KeyboardInterrupt
     for old in (None, b"t\n1\n"):
+        calls.clear()
         if old is not None:
             path.write_bytes(old)
-        with pytest.raises(error, match="broken.csv" if failing == "worker" else None):
+        with pytest.raises(KeyboardInterrupt):
             cli._write_table(path, "t", [np.arange(300.0)])
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert calls == [100, 100]
         if old is None:
             assert not path.exists()
         else:
@@ -339,33 +316,41 @@ def test_table_file_gets_the_mode_of_a_plain_open(tmp_path):
     assert sorted(tmp_path.iterdir()) == [plain, path]
 
 
-def test_preset_tables_are_formatted_in_process(tmp_path, capsys, monkeypatch):
-    # no preset's CSV or _ltp.csv reaches the per-worker minimum, on any host
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-    forks = count_forks(monkeypatch)
-    code, _, err = run_cli(["--all-presets", "--ltp", "--out", str(tmp_path)], capsys)
-    assert code == 0, err
-    assert forks == []
+def test_failed_chart_write_leaves_the_path_as_it_was(tmp_path, monkeypatch):
+    # the disk fills up in the middle of the polyline: the chart's path is
+    # left as it was, absent or with its old bytes, and no stray file
+    real_open = open
 
+    class FillsUp:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
-def test_cli_bytes_do_not_depend_on_the_cpus(tmp_path):
-    # nt=20001: 180009 values, two workers on a host with two usable CPUs
-    src = str(Path(cli.__file__).resolve().parents[1])
-    outputs = []
-    for pin in (True, False):
-        out = tmp_path / ("pinned" if pin else "free")
-        code = (f"import os, sys; sys.path.insert(0, {src!r})\n"
-                f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
-                f"from qduet.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "--preset", "fig3-left", "--t-max", "2",
-             "--out", str(out)], capture_output=True, text=True, check=True)
-        outputs.append((proc.stdout.replace(str(out), "OUT"),
-                        (out / "fig3-left.csv").read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][1].count(b"\n") == 20002
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FillsUp(real_open(*a, **k)),
+                        raising=False)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    times = np.linspace(0.0, 1.0, 50)
+    path = tmp_path / "chart.svg"
+    for old in (None, b"<svg/>\n"):
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            write_svg(path, times, times ** 2, title="n1", ylabel="n1")
+        if old is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == ([] if old is None else [path])
 
 
 def test_write_svg_matches_per_point_reference(tmp_path, fig6_left):
@@ -414,10 +399,8 @@ def traced_peak(write, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-def test_write_csv_streams_a_long_table(tmp_path, monkeypatch):
-    # nt=200001 (fig3-left at t_max=20): the table itself is 14.4 MB.
-    # tracemalloc sees only this process, so one worker formats every row.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+def test_write_csv_streams_a_long_table(tmp_path):
+    # nt=200001 (fig3-left at t_max=20): the table itself is 14.4 MB
     nt = 200001
     rng = np.random.default_rng(3)
     series = DecisionSeries(times=np.linspace(0.0, 20.0, nt),
