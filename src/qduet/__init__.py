@@ -9,7 +9,27 @@ classical part, a quantum interference part and a bath feed.  Analysis
 utilities turn the curves into odds, decision times and noise summaries,
 and an oracle module provides independent verification paths including
 the law-of-total-probability residual.
+
+When qduet is the first to import numpy, it loads numpy with one BLAS
+thread; a thread count the user sets, or a numpy imported before qduet,
+is left alone.
 """
+
+import os
+import sys
+
+# Every matrix here is at most 16x16, so an OpenBLAS worker pool only
+# costs CPU.  The pool starts when the library loads, so the count must
+# be in the environment while numpy is imported; it is taken out again
+# so that child processes and later libraries keep their defaults.
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .algebra import build_basis, build_mode_operators, car_residual, number_operators
 from .analysis import (

@@ -283,10 +283,11 @@ def _form(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     array of shape x.shape[1:].
 
     Only the upper triangle of W is read.  The terms are summed
-    elementwise in a fixed order, skipping zero weights: a zero weight
-    adds an exact zero, each output depends only on its own x (so the
-    chunking never changes a bit), and no BLAS call wakes the worker
-    threads.
+    elementwise in a fixed order, skipping zero weights, with no BLAS
+    call: a zero weight adds an exact zero and each output depends only
+    on its own x, so the chunking never changes a bit.  (BLAS worker
+    threads exist at all only when numpy was imported before qduet or a
+    thread count was set.)
     """
     f = np.zeros(x.shape[1:])
     for a in range(4):

@@ -412,9 +412,11 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read and validate a scenario from a JSON document."""
+    # bytes, so that json detects UTF-8/16/32 and a bad encoding is a
+    # ScenarioError like bad syntax
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        d = json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"not valid JSON: {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise ScenarioError(f"scenario document must be a JSON object: {path}")

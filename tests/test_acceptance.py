@@ -219,13 +219,15 @@ def test_criterion_7_determinism(tmp_path):
     src = str(Path(qduet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    # the second run asks for two BLAS threads: the thread count must not
+    # change a byte either
     outputs = []
-    for sub in ("a", "b"):
+    for sub, run_env in (("a", env), ("b", {**env, "OPENBLAS_NUM_THREADS": "2"})):
         out_dir = tmp_path / sub
         proc = subprocess.run(
             [sys.executable, "-m", "qduet",
              "--preset", "fig2-right", "--out", str(out_dir)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=run_env)
         assert proc.returncode == 0, proc.stderr
         outputs.append((out_dir / "fig2-right.csv").read_bytes())
     identical = outputs[0] == outputs[1]

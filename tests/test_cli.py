@@ -134,6 +134,20 @@ def test_invalid_json_scenario(tmp_path, capsys):
     assert "error" in err
 
 
+def test_scenario_file_in_no_json_encoding(tmp_path):
+    # in a fresh interpreter, so that an uncaught exception would show
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"a":1}')
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "qduet", "--scenario", str(bad)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert re.search(r"^error: .*bad\.json", proc.stderr, re.M), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_grid_rule_violation_reports_required_dt(tmp_path, capsys):
     code, out, err = run_cli(
         ["--preset", "fig1-left", "--dt", "0.01", "--out", str(tmp_path)],
@@ -388,6 +402,60 @@ def test_cli_import_loads_no_network_modules():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def thread_probe(first: str, **thread_env) -> dict:
+    """Import `first` and then qduet in a fresh interpreter whose BLAS
+    thread variables are exactly thread_env; report the OS thread count
+    after each import and whether qduet left os.environ as it was."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    code = f"""
+import json, os, re, sys
+sys.path.insert(0, {src!r})
+def threads():
+    status = open("/proc/self/status").read()
+    return int(re.search(r"^Threads:\\s*(\\d+)", status, re.M).group(1))
+import {first}
+before, environ = threads(), dict(os.environ)
+import qduet
+print(json.dumps({{"before": before, "after": threads(),
+                  "environ_kept": dict(os.environ) == environ,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "cpus": len(os.sched_getaffinity(0))}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**env, **thread_env})
+    return json.loads(proc.stdout)
+
+
+def uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in json.dumps(blas).lower()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+@pytest.mark.skipif(not uses_openblas(), reason="numpy is not built on OpenBLAS")
+def test_import_loads_numpy_with_one_blas_thread():
+    # qduet first: one thread, and os.environ as it was
+    first = thread_probe("sys")
+    assert first["after"] == 1
+    assert first["environ_kept"]
+    # a count the user sets wins
+    chosen = thread_probe("sys", OPENBLAS_NUM_THREADS="2")
+    assert chosen["openblas"] == "2"
+    assert chosen["environ_kept"]
+    if chosen["cpus"] >= 2:
+        assert chosen["after"] > 1
+    # numpy first: qduet changes nothing
+    numpy_first = thread_probe("numpy")
+    assert numpy_first["after"] == numpy_first["before"]
+    assert numpy_first["environ_kept"]
+    assert numpy_first["openblas"] is None
 
 
 def traced_peak(write, *args, **kwargs) -> int:

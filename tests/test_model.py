@@ -337,3 +337,17 @@ def test_scenario_document_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(bad)
+
+
+def test_scenario_file_encodings(tmp_path):
+    # json detects UTF-16 from the bytes; bytes no encoding can read are
+    # a ScenarioError naming the file
+    doc = json.dumps(scenario_to_dict(PRESETS["fig1-left"]))
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(doc.encode("utf-16"))
+    assert load_scenario(utf16) == PRESETS["fig1-left"]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"a":1}')
+    with pytest.raises(ScenarioError, match="bad.json") as info:
+        load_scenario(bad)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
