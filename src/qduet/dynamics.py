@@ -33,33 +33,35 @@ U is build_generator's plain 4x4 array.  A propagator grid holds the
 player rows of V and no other propagator data:
 rows[c, j - 1, k] = V_jc(t_k) for j = 1, 2, a read-only (4, 2, nt) array
 of 128 bytes per point, half of V and the half every form reads.  No
-(nt, 4, 4) array of V is formed.  Both routes give the player rows as a
-product, built once per grid, in fixed chunks, and f_j^W(t_k) is the
-Hermitian form Re(conj(x) W x^T) in the 4-vector x = rows[:, j - 1, k]:
+(nt, 4, 4) array of V is formed.  f_j^W(t_k) is the Hermitian form
+Re(conj(x) W x^T) in the 4-vector x = rows[:, j - 1, k].
 
-  * Eigendecomposition: U = P diag(w) P^-1, so V(t) = P diag(phi(t)) P^-1
-    with the phase vector phi(t) = exp(i w t), and the player rows are
-    sum_b phi_b(t) P_jb P^-1[b].  A sweep assembles many runs on one
-    grid, and the exponentials and row sums would otherwise be paid
-    again in every one.  (The same form is phi^H C phi in the
-    eigenbasis, with C_ab = conj(P_ja) P_jb (conj(P^-1) W P^-T)_ab, and
-    needs no rows, but its terms grow like cond(P)^2 and round at
-    eps cond(P)^2: near an exceptional point, at cond(P) ~ 1e4, that
-    fails the 1e-10 Born check at t = 0.  The rows of V round at
-    eps cond(P).)
-  * Two-level exponential table: with B = ceil(sqrt(nt)),
-    V(t_{qB+b}) = O_q I_b, the outer stack O_q = V(t_{qB}) and the inner
-    stack I_b = V(t_b) each about sqrt(nt) exponentials from one batched
-    scaling-and-squaring Taylor series.  The player rows are those of
-    O_q times I_b, multiplied a block of whole table rows at a time; the
-    stacks are dropped once the rows are built.
+The rows come from a two-level table: with B = ceil(sqrt(nt)),
+V(t_{qB+b}) = V(t_{qB}) V(t_b), so the rows of the grid are those of the
+outer stack O_q = V(t_{qB})[:2] times the inner stack I_b = V(t_b), about
+sqrt(nt) matrices each.  One loop multiplies them out a block of whole
+table rows at a time, in a fixed order and with no BLAS call, and the
+stacks are dropped once the rows are built.  The two routes differ only
+in where the stacks come from:
+
+  * Eigendecomposition: U = P diag(w) P^-1, so O_q = P[:2] diag(phi(t_qB))
+    and I_b = diag(phi(t_b)) P^-1 with the phase vector phi(t) = exp(i w t),
+    2 sqrt(nt) phase vectors in all.  The rows of V round at eps cond(P).
+    (A form could also be taken in the eigenbasis as phi^H C phi, with
+    C_ab = conj(P_ja) P_jb (conj(P^-1) W P^-T)_ab, and need no rows; but
+    its terms grow like cond(P)^2 and round at eps cond(P)^2, which near
+    an exceptional point, at cond(P) ~ 1e4, fails the 1e-10 Born check at
+    t = 0.)
+  * Exponential table: both stacks from one batched scaling-and-squaring
+    Taylor series each, _expm_stack, which needs no eigenvectors and so
+    holds at exceptional points.
 
 One kernel, _form, evaluates the forms in fixed chunks of CHUNK_POINTS
 grid points, so the scratch an assembly needs is bounded whatever t_max
 is.  U is not normal once damping and couplings compete, so P can be
 ill-conditioned near parameter points where eigenvalues coalesce; the
-table runs instead when cond(P) exceeds 1e8 or when the eigen route's
-V(0) misses the identity by more than 1e-12.
+table runs instead when cond(P) exceeds 1e8 or when P P^-1 misses the
+identity by more than 1e-12.
 
 A Scenario is valid by construction, so nothing here validates it
 again.  Runs in one information environment, that is with the same
@@ -117,9 +119,8 @@ __all__ = [
 COND_LIMIT = 1e8
 IDENTITY_TOL = 1e-12
 BOUND_TOL = 1e-8
-# grid points per chunk of the quadratic-form kernel and of the eigen
-# route's row build; the table route's row build takes whole table rows
-# of B points, at least one
+# grid points per chunk of the quadratic-form kernel; the row build takes
+# blocks of whole table rows of B points, at least one
 CHUNK_POINTS = 16384
 
 # B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
@@ -140,8 +141,9 @@ class PropagatorGrid:
 
     rows[c, j - 1, k] = V_jc(t_k) for the players j = 1, 2, a read-only
     (4, 2, nt) complex array built by propagator.  used_fallback is True
-    when the two-level exponential table built them instead of the
-    eigendecomposition.
+    when the factor stacks of the rows came from the scaling-and-squaring
+    exponential instead of the eigendecomposition; the rows are built the
+    same way on either route.
     """
 
     times: np.ndarray
@@ -193,7 +195,7 @@ def _check_times(times: np.ndarray) -> float:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("times must be a 1-d grid with at least 2 points")
-    if abs(times[0]) > 1e-12:
+    if times[0] != 0.0:
         raise ValueError(f"times must start at 0, got {times[0]!r}")
     steps = np.diff(times)
     dt = float(times[1] - times[0])
@@ -205,14 +207,17 @@ def _check_times(times: np.ndarray) -> float:
 def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
     """The player rows of V(t) = exp(i U t) on the whole grid.
 
-    Route 1: one eigendecomposition U = P diag(w) P^-1, the rows summed
-    over the phases exp(i w t).  Route 2 (fallback): the table
-    V(t_{qB+b}) = V(t_{qB}) V(t_b) with B = ceil(sqrt(nt)), the rows
-    multiplied out of its two stacks from _expm_stack; it runs when P is
-    ill-conditioned (cond > 1e8, U nearly defective) or when route 1
-    fails to reproduce V(0) = 1 within 1e-12.  Either route builds the
-    rows in chunks of about CHUNK_POINTS points and returns them
-    read-only.
+    With B = ceil(sqrt(nt)), rows of V(t_{qB+b}) = O_q I_b are multiplied
+    out of two stacks: the outer player rows O_q = V(t_{qB})[:2] and the
+    inner I_b = V(t_b).  The route decides only where the stacks come
+    from.  Route 1: one eigendecomposition U = P diag(w) P^-1, with
+    O_q = P[:2] diag(exp(i w t_qB)) and I_b = diag(exp(i w t_b)) P^-1.
+    Route 2 (fallback): both stacks from _expm_stack; it runs when P is
+    ill-conditioned (cond > 1e8, U nearly defective) or when P P^-1
+    misses the identity by more than 1e-12.  One BLAS-free loop builds
+    the rows of either route a block of whole table rows (about
+    CHUNK_POINTS points) at a time, writing each block straight into the
+    result, and returns them read-only.  times must start at exactly 0.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
@@ -220,44 +225,45 @@ def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
     if not np.all(np.isfinite(U)):
         raise ValueError("generator contains non-finite entries")
     nt = len(times)
-    rows = np.empty((4, 2, nt), dtype=complex)
-
+    B = math.isqrt(nt - 1) + 1  # ceil(sqrt(nt))
     try:
         w, P = np.linalg.eig(U)
         cond = np.linalg.cond(P)
     except np.linalg.LinAlgError:
         cond = np.inf
+    used_fallback = True
     if np.isfinite(cond) and cond <= COND_LIMIT:
         Pinv = np.linalg.inv(P)
-        V0 = np.einsum("ab,tb,bc->tac", P, np.exp(1j * np.outer(times[:1], w)),
-                       Pinv)[0]
-        if np.abs(V0 - np.eye(4)).max() <= IDENTITY_TOL:
-            QT = (P[:2, :, None] * Pinv).transpose(1, 2, 0)  # QT[b, c, j] = P_jb P^-1_bc
-            for k0 in range(0, nt, CHUNK_POINTS):
-                phi = np.exp(1j * np.outer(times[k0:k0 + CHUNK_POINTS], w)).T
-                chunk = rows[:, :, k0:k0 + CHUNK_POINTS]
-                np.multiply(QT[0, :, :, None], phi[0], out=chunk)
-                for b in range(1, 4):
-                    chunk += QT[b, :, :, None] * phi[b]
-            rows.flags.writeable = False
-            return PropagatorGrid(times=times, used_fallback=False, rows=rows)
-    B = math.isqrt(nt - 1) + 1  # ceil(sqrt(nt))
-    outer = _expm_stack(1j * U * times[::B, None, None])
-    inner = _expm_stack(1j * U * (times[:B] - times[0])[:, None, None])
-    V0_dev = np.abs(outer[0] @ inner[0] - np.eye(4)).max()
-    if V0_dev > IDENTITY_TOL:
-        raise NumericalError(
-            f"propagator failed on both routes: eigenvector condition "
-            f"number {cond:.3g}, fallback V(0) deviates from identity by "
-            f"{V0_dev:.3g}")
+        if np.abs(P @ Pinv - np.eye(4)).max() <= IDENTITY_TOL:
+            used_fallback = False
+            outer = P[:2] * np.exp(1j * np.outer(times[::B], w))[:, None, :]
+            inner = np.exp(1j * np.outer(times[:B], w))[:, :, None] * Pinv
+    if used_fallback:
+        outer = _expm_stack(1j * U * times[::B, None, None])[:, :2]
+        inner = _expm_stack(1j * U * times[:B, None, None])
+    # blocks of whole table rows, then the short last row if B misses nt
+    full, last = divmod(nt, B)
     per_block = max(1, CHUNK_POINTS // B)
-    for q in range(0, len(outer), per_block):
-        # einsum without BLAS: scratch of one block, whatever the grid
-        block = np.einsum("qja,bac->cjqb", outer[q:q + per_block, :2], inner)
-        chunk = rows[:, :, q * B:(q + per_block) * B]
-        chunk[...] = block.reshape(4, 2, -1)[:, :, :chunk.shape[-1]]
+    blocks = [(q, min(q + per_block, full), B) for q in range(0, full, per_block)]
+    if last:
+        blocks.append((full, full + 1, last))
+    # O[a, j, q, 0] and I[a, c, 0, b], I contiguous along b
+    O = outer.transpose(2, 1, 0)[..., None]
+    I = np.ascontiguousarray(inner.transpose(1, 2, 0))[:, :, None, :]
+    rows = np.empty((4, 2, nt), dtype=complex)
+    for q0, q1, width in blocks:
+        # rows[c, j, qB + b] = sum_a O_q[j, a] I_b[a, c], summed in a fixed
+        # order with no BLAS call, so the blocking never changes a bit.  Each
+        # (c, j) block is a contiguous (q, b) view of rows, which numpy adds
+        # into in place without a copy of the block
+        for c, j in np.ndindex(4, 2):
+            span = rows[c, j, q0 * B:q0 * B + (q1 - q0) * width]
+            block = span.reshape(q1 - q0, width)
+            np.multiply(O[0, j, q0:q1], I[0, c, :, :width], out=block)
+            for a in range(1, 4):
+                block += O[a, j, q0:q1] * I[a, c, :, :width]
     rows.flags.writeable = False
-    return PropagatorGrid(times=times, used_fallback=True, rows=rows)
+    return PropagatorGrid(times=times, used_fallback=used_fallback, rows=rows)
 
 
 def _expm_stack(M: np.ndarray) -> np.ndarray:
@@ -290,17 +296,30 @@ def _form(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     thread count was set.)
     """
     f = np.zeros(x.shape[1:])
+    # every term's scratch in one allocation, the product p and two real
+    # terms t: a fresh temporary per term would be mapped, or trimmed and
+    # faulted in again, on every call once a chunk passes glibc's 128 KiB
+    # mmap threshold
+    scratch = np.empty(4 * f.size)
+    p = scratch[:2 * f.size].view(complex).reshape(f.shape)
+    t = scratch[2 * f.size:].reshape((2,) + f.shape)
     for a in range(4):
         if W[a, a].real:
-            f += W[a, a].real * (x[a].real ** 2 + x[a].imag ** 2)
+            np.square(x[a].real, out=t[0])
+            np.square(x[a].imag, out=t[1])
+            t[0] += t[1]
+            t[0] *= W[a, a].real
+            f += t[0]
         for b in range(a + 1, 4):
             if W[a, b]:
-                p = x[a].conj() * x[b]
+                np.conjugate(x[a], out=p)
+                p *= x[b]
                 # 2 Re(c p), doubling c instead of the sum (exact either way)
-                term = 2.0 * W[a, b].real * p.real
+                np.multiply(p.real, 2.0 * W[a, b].real, out=t[0])
                 if W[a, b].imag:
-                    term -= 2.0 * W[a, b].imag * p.imag
-                f += term
+                    np.multiply(p.imag, 2.0 * W[a, b].imag, out=t[1])
+                    t[0] -= t[1]
+                f += t[0]
     return f
 
 

@@ -222,6 +222,12 @@ def test_propagator_rejects_bad_grids():
         propagator(U, np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         propagator(U, np.array([0.0, 0.1, 0.15]))
+    # the table identity V(t_{qB+b}) = V(t_qB) V(t_b) holds on a grid from
+    # exactly 0; a grid just off it is a ValueError, not a failed route
+    U = build_generator(PRESETS["fig1-left"].params)
+    for offset in (5e-13, -5e-13, 5e-324):
+        with pytest.raises(ValueError, match="must start at 0"):
+            propagator(U, make_times(0.5, 1e-4) + offset)
 
 
 def test_propagator_fallback_on_defective_generator():
@@ -267,13 +273,12 @@ def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max)
     times = make_times(t_max, t_max / 2000)
     grid = propagator(U, times)
 
-    # the documented trigger: cond(P) > 1e8, or the eigen route's V(0)
-    # missing the identity by more than 1e-12
-    w, P = np.linalg.eig(np.asarray(U, dtype=complex))
+    # the documented trigger: cond(P) > 1e8, or P P^-1 missing the
+    # identity by more than 1e-12
+    P = np.linalg.eig(np.asarray(U, dtype=complex))[1]
     cond = np.linalg.cond(P)
-    V0 = np.einsum("ab,tb,bc->tac", P, np.exp(1j * np.outer(times[:1], w)),
-                   np.linalg.inv(P))[0]
-    assert grid.used_fallback == (cond > 1e8 or np.abs(V0 - np.eye(4)).max() > 1e-12)
+    PPinv = P @ np.linalg.inv(P)
+    assert grid.used_fallback == (cond > 1e8 or np.abs(PPinv - np.eye(4)).max() > 1e-12)
 
     # the eigen route rounds at the scale n eps cond(P), n = 4, which
     # passes 1e-12 once cond(P) exceeds ~1e3
@@ -331,6 +336,22 @@ def test_forms_match_expm_on_presets(name):
     U = build_generator(s.params)
     assert_forms_match_expm(U, propagator(U, make_times(s.t_max, s.dt)),
                             s.initial, 1e-14)
+
+
+@pytest.mark.parametrize("s", [PRESETS[name] for name in sorted(PRESETS)] + [
+    dataclasses.replace(PRESETS["fig3-left"], t_max=20.0, label="fig3-left-t20")],
+    ids=lambda s: s.label)
+def test_routes_agree_on_presets(s, monkeypatch):
+    # the table route, forced, against the eigen route the presets take:
+    # 2.3e-15 at worst (nB on fig2), so 5e-15 leaves a factor 2
+    eigen = decision_series(s)
+    assert not scenario_grid(s).used_fallback
+    empty_slots()
+    monkeypatch.setattr(dynamics, "COND_LIMIT", -1)
+    table = decision_series(s)
+    assert scenario_grid(s).used_fallback
+    for name in ("mu", "dmu", "nB", "n"):
+        assert np.abs(getattr(table, name) - getattr(eigen, name)).max() <= 5e-15
 
 
 @given(detune=exceptional_detunes, g1=st.floats(0.05, 3.0),
