@@ -52,7 +52,6 @@ from .dynamics import (
     DecisionSeries,
     NumericalError,
     decision_series,
-    make_times,
     scenario_grid,
 )
 from .model import (
@@ -63,7 +62,7 @@ from .model import (
     PRESETS,
     Scenario,
     ScenarioError,
-    build_generator,
+    grid_steps,
     is_entangled,
     load_scenario,
 )
@@ -340,7 +339,7 @@ def run_one(s: Scenario, args: argparse.Namespace) -> None:
 
     if args.oracle:
         grid = scenario_grid(s)  # the run's own grid, not a rebuild
-        residual = oracle.propagator_residual(build_generator(s.params), grid)
+        residual = oracle.propagator_residual(grid)
         route = "fallback" if grid.used_fallback else "eigendecomposition"
         print(f"oracle: propagator defect {residual:.6g} at dt={s.dt:g} ({route})")
         if s.params.lambda1 == 0.0 and s.params.lambda2 == 0.0:
@@ -395,7 +394,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     for s in scenarios:
         try:
             analysis._rule_window(args.epsilon, args.window,
-                                  make_times(s.t_max, s.dt)[-1])
+                                  grid_steps(s.t_max, s.dt) * s.dt)
         except ValueError as exc:
             raise ScenarioError(f"{s.label}: {exc}") from None
     for s in scenarios:

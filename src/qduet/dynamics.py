@@ -29,8 +29,9 @@ for a Hermitian 4x4 weight W:
     solution X obeys A X + X A^dag = 0, is constant under the flow and
     cancels.
 
-U is build_generator's plain 4x4 array.  A propagator grid holds the
-player rows of V and no other propagator data:
+A propagator grid is a value of (U, t_max, dt): its times are
+make_times(t_max, dt), its generator a read-only copy of U, and of V it
+holds only the player rows:
 rows[c, j - 1, k] = V_jc(t_k) for j = 1, 2, a read-only (4, 2, nt) array
 of 128 bytes per point, half of V and the half every form reads.  No
 (nt, 4, 4) array of V is formed.  f_j^W(t_k) is the Hermitian form
@@ -100,6 +101,7 @@ from .model import (
     Scenario,
     born_probabilities,
     build_generator,
+    grid_steps,
 )
 
 __all__ = [
@@ -139,6 +141,7 @@ class NumericalError(RuntimeError):
 class PropagatorGrid:
     """The player rows of V(t_k) = exp(i U t_k) on a uniform grid from 0.
 
+    times = make_times(t_max, dt) and the generator U are read-only.
     rows[c, j - 1, k] = V_jc(t_k) for the players j = 1, 2, a read-only
     (4, 2, nt) complex array built by propagator.  used_fallback is True
     when the factor stacks of the rows came from the scaling-and-squaring
@@ -147,6 +150,7 @@ class PropagatorGrid:
     """
 
     times: np.ndarray
+    generator: np.ndarray
     used_fallback: bool
     rows: np.ndarray
 
@@ -186,26 +190,12 @@ class DecisionSeries:
 
 
 def make_times(t_max: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, ..., round(t_max/dt)*dt (inclusive)."""
-    n_steps = int(round(t_max / dt))
-    return np.arange(n_steps + 1) * dt
+    """Uniform grid 0, dt, ..., grid_steps(t_max, dt) * dt (inclusive)."""
+    return np.arange(grid_steps(t_max, dt) + 1) * dt
 
 
-def _check_times(times: np.ndarray) -> float:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("times must be a 1-d grid with at least 2 points")
-    if times[0] != 0.0:
-        raise ValueError(f"times must start at 0, got {times[0]!r}")
-    steps = np.diff(times)
-    dt = float(times[1] - times[0])
-    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-15):
-        raise ValueError("times must be uniformly increasing")
-    return dt
-
-
-def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
-    """The player rows of V(t) = exp(i U t) on the whole grid.
+def propagator(U: np.ndarray, t_max: float, dt: float) -> PropagatorGrid:
+    """The player rows of V(t) = exp(i U t) on the grid make_times(t_max, dt).
 
     With B = ceil(sqrt(nt)), rows of V(t_{qB+b}) = O_q I_b are multiplied
     out of two stacks: the outer player rows O_q = V(t_{qB})[:2] and the
@@ -217,13 +207,14 @@ def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
     misses the identity by more than 1e-12.  One BLAS-free loop builds
     the rows of either route a block of whole table rows (about
     CHUNK_POINTS points) at a time, writing each block straight into the
-    result, and returns them read-only.  times must start at exactly 0.
+    result.  The grid keeps its times, a copy of U and the rows read-only.
+    A (t_max, dt) that breaks grid_steps' rule is a ScenarioError.
     """
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
-    U = np.asarray(U, dtype=complex)
+    U = np.array(U, dtype=complex)
     if not np.all(np.isfinite(U)):
         raise ValueError("generator contains non-finite entries")
+    times = make_times(t_max, dt)
+    U.flags.writeable = times.flags.writeable = False
     nt = len(times)
     B = math.isqrt(nt - 1) + 1  # ceil(sqrt(nt))
     try:
@@ -263,7 +254,7 @@ def propagator(U: np.ndarray, times: np.ndarray) -> PropagatorGrid:
             for a in range(1, 4):
                 block += O[a, j, q0:q1] * I[a, c, :, :width]
     rows.flags.writeable = False
-    return PropagatorGrid(times=times, used_fallback=used_fallback, rows=rows)
+    return PropagatorGrid(times, U, used_fallback, rows)
 
 
 def _expm_stack(M: np.ndarray) -> np.ndarray:
@@ -331,8 +322,6 @@ def _player_forms(grid: PropagatorGrid, W: np.ndarray) -> np.ndarray:
     evaluated in chunks of CHUNK_POINTS points, writing into one array
     whose transpose is returned.
     """
-    upper = np.triu(W, 1)
-    W = upper + upper.conj().T + np.diag(np.diag(W).real)
     out = np.empty((len(grid.times), 2))
     for k0 in range(0, len(grid.times), CHUNK_POINTS):
         out[k0:k0 + CHUNK_POINTS] = _form(grid.rows[..., k0:k0 + CHUNK_POINTS], W).T
@@ -370,10 +359,10 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
     """Bath part of both decision functions on the grid.
 
     nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) with N the least-squares
-    solution of A N + N A^dag = D, exact on either propagator route.
-    Shape as in mu_player.
+    solution of A N + N A^dag = D, A = i grid.generator, exact on either
+    propagator route.  Shape as in mu_player.
     """
-    A = 1j * build_generator(params)
+    A = 1j * grid.generator
     k1 = params.lambda1 ** 2 / params.Omega1
     k2 = params.lambda2 ** 2 / params.Omega2
     N1, N2 = reservoir.N1, reservoir.N2
@@ -406,8 +395,7 @@ def _context(s: Scenario) -> _Context:
     context = _context_slot.get(key)
     if context is None:
         _context_slot.clear()  # release the old record before building the next
-        grid = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
-        grid.times.flags.writeable = False
+        grid = propagator(build_generator(s.params), s.t_max, s.dt)
         context = _context_slot[key] = _Context(grid)
     return context
 
@@ -415,12 +403,12 @@ def _context(s: Scenario) -> _Context:
 def scenario_grid(s: Scenario) -> PropagatorGrid:
     """The propagator grid of s, the one its run context keeps.
 
-    The grid is propagator(build_generator(s.params),
-    make_times(s.t_max, s.dt)), built once per run context, that is per
-    (s.params, s.t_max, s.dt, s.reservoir): scenarios that differ only in
-    initial state or label share it.  The slot is emptied before a
-    different context is built, so at most one grid is ever held, and it
-    stays in memory after the run.  Its times and rows are read-only.
+    The grid is propagator(build_generator(s.params), s.t_max, s.dt), the
+    only build of U, once per run context, that is per (s.params, s.t_max,
+    s.dt, s.reservoir): scenarios that differ only in initial state or
+    label share it.  The slot is emptied before a different context is
+    built, so at most one grid is ever held, and it stays in memory after
+    the run.
     """
     return _context(s).grid
 

@@ -47,6 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import algebra
+
 __all__ = [
     "ScenarioError",
     "ModelParams",
@@ -57,6 +59,7 @@ __all__ = [
     "born_probabilities",
     "is_entangled",
     "validate_scenario",
+    "grid_steps",
     "default_dt",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -79,6 +82,9 @@ MAX_GRID_POINTS = 2 ** 22
 RUN_BYTES_PER_POINT = 8 + 4 * 16 + 2 * 4 * 16
 # relative tolerance on t_max / dt being a whole number of steps
 STEP_TOL = 1e-9
+# the diagonals of algebra's n1, n2: the basis states where player j plays 1
+_N_DIAG = tuple(np.diag(n).real.copy() for n in
+                algebra.number_operators(*algebra.build_mode_operators()))
 
 
 class ScenarioError(ValueError):
@@ -223,11 +229,10 @@ def born_probabilities(initial: InitialState) -> tuple[float, float, float, floa
 
     p1(j) sums |alpha_{j,l}|^2 over the other player's bit, and likewise
     p2(j); each player's pair sums to 1 for a normalized state.
+    p_j(1) = <psi, n_j psi> reads the diagonal of algebra's n_j.
     """
-    a = initial.amplitudes
-    w = np.abs(a) ** 2
-    p1_1 = float(w[1] + w[3])
-    p2_1 = float(w[2] + w[3])
+    w = np.abs(initial.amplitudes) ** 2
+    p1_1, p2_1 = (float(w @ d) for d in _N_DIAG)
     return (1.0 - p1_1, p1_1, 1.0 - p2_1, p2_1)
 
 
@@ -282,18 +287,45 @@ def default_dt(params: ModelParams) -> float:
     return min(1e-4, _largest_dt(params.f_max))
 
 
+def grid_steps(t_max: float, dt: float) -> int:
+    """The number of dt steps of the grid 0, dt, ..., t_max: the grid rule.
+
+    ScenarioError unless 0 < dt < t_max are finite, the grid has at most
+    MAX_GRID_POINTS points and t_max / dt is whole within STEP_TOL; those
+    two messages name the largest or the nearest t_max that passes.
+    """
+    _require_finite("t_max", t_max)
+    _require_finite("dt", dt)
+    if t_max <= 0:
+        raise ScenarioError(f"t_max must be positive, got {t_max}")
+    if dt <= 0:
+        raise ScenarioError(f"dt must be positive, got {dt}")
+    if dt >= t_max:
+        raise ScenarioError(f"dt={dt} must be smaller than t_max={t_max}")
+    steps = t_max / dt
+    nt = round(steps) + 1 if math.isfinite(steps) else math.inf
+    if nt > MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"grid too large: {nt} points, whose run would keep up to "
+            f"{nt * RUN_BYTES_PER_POINT:.4g} bytes ({RUN_BYTES_PER_POINT} "
+            f"per point); at dt={dt:g} t_max may be at most "
+            f"{(MAX_GRID_POINTS - 1) * dt:.12g} ({MAX_GRID_POINTS} points)")
+    if abs(steps - round(steps)) > STEP_TOL * steps:
+        raise ScenarioError(
+            f"t_max={t_max} is not a whole number of dt={dt} steps "
+            f"({steps:.6g}); the nearest valid t_max is "
+            f"{round(steps) * dt:.12g}")
+    return round(steps)
+
+
 def validate_scenario(s: Scenario) -> Scenario:
     """Check all scenario invariants; return the scenario unchanged.
 
     Raises ScenarioError, naming the field, on a field of the wrong type,
-    on domain violations, on a non-positive or non-ordered grid, on a grid
-    too coarse for the fastest frequency (dt * f_max must be at most 0.1;
-    the message reports the product and the largest dt that passes, both
-    at full precision), on a grid of more than
-    MAX_GRID_POINTS points (the message reports the bytes the run would
-    keep and the largest t_max allowed at that dt) and on
-    a t_max that is not a whole number of dt steps within a relative
-    1e-9 (the message reports the nearest t_max that is).
+    on domain violations, on a grid that breaks grid_steps' rule and on a
+    grid too coarse for the fastest frequency (dt * f_max must be at most
+    0.1; the message reports the product and the largest dt that passes,
+    both at full precision).
     """
     for name, kind in (("params", ModelParams), ("reservoir", ReservoirState),
                        ("initial", InitialState), ("label", str)):
@@ -302,32 +334,12 @@ def validate_scenario(s: Scenario) -> Scenario:
             raise ScenarioError(
                 f"{name} must be of type {kind.__name__}, got "
                 f"{type(value).__name__}")
-    _require_finite("t_max", s.t_max)
-    _require_finite("dt", s.dt)
-    if s.t_max <= 0:
-        raise ScenarioError(f"t_max must be positive, got {s.t_max}")
-    if s.dt <= 0:
-        raise ScenarioError(f"dt must be positive, got {s.dt}")
-    if s.dt >= s.t_max:
-        raise ScenarioError(f"dt={s.dt} must be smaller than t_max={s.t_max}")
+    grid_steps(s.t_max, s.dt)
     f_max = s.params.f_max
     if s.dt * f_max > GRID_RULE:
         raise ScenarioError(
             f"grid too coarse: dt*f_max = {s.dt * f_max!r} > {GRID_RULE}; "
             f"need dt <= {_largest_dt(f_max)!r}")
-    steps = s.t_max / s.dt
-    nt = round(steps) + 1 if math.isfinite(steps) else math.inf
-    if nt > MAX_GRID_POINTS:
-        raise ScenarioError(
-            f"grid too large: {nt} points, whose run would keep up to "
-            f"{nt * RUN_BYTES_PER_POINT:.4g} bytes ({RUN_BYTES_PER_POINT} "
-            f"per point); at dt={s.dt:g} t_max may be at most "
-            f"{(MAX_GRID_POINTS - 1) * s.dt:.12g} ({MAX_GRID_POINTS} points)")
-    if abs(steps - round(steps)) > STEP_TOL * steps:
-        raise ScenarioError(
-            f"t_max={s.t_max} is not a whole number of dt={s.dt} steps "
-            f"({steps:.6g}); the nearest valid t_max is "
-            f"{round(steps) * s.dt:.12g}")
     return s
 
 

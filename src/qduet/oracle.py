@@ -18,8 +18,8 @@ whole production runs:
     cross-implementation test.
 
   * propagator_residual: a central-difference check that the sampled
-    player rows of the propagator actually solve dV/dt = V i U on the
-    grid, with the expected second-order behavior in dt.
+    player rows of a grid solve dV/dt = V i U for the grid's own
+    generator U, with the expected second-order behavior in dt.
 
   * ltp_residual: the decision functions compared against the classical
     law of total probability.  Four conditional simulations started from
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import algebra
 from .dynamics import PropagatorGrid, conditional_runs, decision_series
-from .model import InitialState, ModelParams, Scenario
+from .model import _N_DIAG, InitialState, ModelParams, Scenario
 
 __all__ = [
     "closed_hamiltonian",
@@ -91,15 +91,14 @@ def exact_closed_evolution(params: ModelParams, initial: InitialState,
     phases = np.exp(-1j * np.outer(times, energies))
     psi_t = (Q @ (phases * coeffs).T).T
     prob = np.abs(psi_t) ** 2
-    n1 = prob[:, 1] + prob[:, 3]
-    n2 = prob[:, 2] + prob[:, 3]
+    n1, n2 = (prob @ d for d in _N_DIAG)
     return n1, n2
 
 
-def propagator_residual(U: np.ndarray, grid: PropagatorGrid) -> float:
+def propagator_residual(grid: PropagatorGrid) -> float:
     """Max norm of the central-difference defect of dV/dt = V i U.
 
-    V = exp(i U t) commutes with U, so the player rows of V obey
+    V = exp(i U t) commutes with U = grid.generator, so its player rows obey
     d/dt V_j = V_j i U; the defect is taken on the grid's rows at the
     interior grid points, and no (nt, 4, 4) array of V is formed.  Needs
     at least 3 points.  The defect of the exact propagator sampled on the
@@ -112,7 +111,7 @@ def propagator_residual(U: np.ndarray, grid: PropagatorGrid) -> float:
     dt = times[1] - times[0]
     defect = rows[..., 2:] - rows[..., :-2]
     defect /= 2.0 * dt
-    defect -= np.einsum("ajt,ac->cjt", rows[..., 1:-1], 1j * U)
+    defect -= np.einsum("ajt,ac->cjt", rows[..., 1:-1], 1j * grid.generator)
     return float(np.abs(defect).max())
 
 

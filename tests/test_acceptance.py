@@ -70,7 +70,7 @@ def test_criterion_2_propagator():
     s = PRESETS["fig1-left"]
     U = build_generator(s.params)
 
-    grid = propagator(U, make_times(s.t_max, 1e-4))
+    grid = propagator(U, s.t_max, 1e-4)
     rows = grid.rows.transpose(2, 1, 0)  # rows[k] = player rows of V(t_k)
     v0_dev = np.abs(rows[0] - np.eye(4)[:2]).max()
     semigroup = max(
@@ -79,8 +79,8 @@ def test_criterion_2_propagator():
 
     residuals = []
     for dt in (2e-4, 1e-4, 5e-5):
-        g = propagator(U, make_times(s.t_max, dt))
-        residuals.append(propagator_residual(U, g))
+        g = propagator(U, s.t_max, dt)
+        residuals.append(propagator_residual(g))
     ratio_a = residuals[0] / residuals[1]
     ratio_b = residuals[1] / residuals[2]
     elapsed = perf_counter() - t0

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import re
 import subprocess
@@ -200,18 +201,16 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
     # dt 0.4 does not divide t_max 0.5, so the grid could not end at 0.5
     (["--t-max", "0.5", "--dt", "0.4", "--window", "0.5"],
      "the nearest valid t_max is 0.4"),
+    # the grid of t_max 0.3 and dt 0.1 ends on 3 * 0.1; one ulp more is
+    # past the run
+    (["--t-max", "0.3", "--dt", "0.1", "--window", repr(math.nextafter(3 * 0.1, 1.0))],
+     "exceeds the run length 0.30000000000000004"),
 ])
 def test_bad_analysis_setting_is_config_error(tmp_path, capsys, flags, message):
     if "--all-presets" in flags:
         source = []
     elif "--dt" in flags:
-        # rates small enough for dt = 0.4 to pass the grid rule
-        path = tmp_path / "slow.json"
-        path.write_text(json.dumps({
-            **scenario_to_dict(PRESETS["fig1-left"]),
-            "omega1": 0.1, "omega2": 0.1, "Omega1": 1.0, "Omega2": 1.0,
-            "lambda1": 0.1, "lambda2": 0.1, "mu_ex": 0.1}))
-        source = ["--scenario", str(path)]
+        source = ["--scenario", slow_scenario(tmp_path)]
     else:
         source = ["--preset", "fig1-left"]
     out_dir = tmp_path / "out"
@@ -219,6 +218,24 @@ def test_bad_analysis_setting_is_config_error(tmp_path, capsys, flags, message):
     assert code == 1
     assert err.startswith("error:") and message in err
     assert not out_dir.exists()
+
+
+def slow_scenario(tmp_path):
+    # rates small enough for dt = 0.4 to pass the grid rule
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        **scenario_to_dict(PRESETS["fig1-left"]),
+        "omega1": 0.1, "omega2": 0.1, "Omega1": 1.0, "Omega2": 1.0,
+        "lambda1": 0.1, "lambda2": 0.1, "mu_ex": 0.1}))
+    return str(path)
+
+
+def test_window_may_reach_the_last_grid_point(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["--scenario", slow_scenario(tmp_path), "--t-max", "0.3", "--dt", "0.1",
+         "--window", repr(3 * 0.1), "--no-csv"], capsys)
+    assert code == 0, err
+    assert out.count("window=0.3)") == 2
 
 
 def test_all_presets_conflicts_with_single_source(capsys):
@@ -231,25 +248,24 @@ def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):
     # and the four LTP conditionals share its grid and its one bath solve.
     # Each distinct run is assembled once (one mu_player call each): --ltp
     # reuses the run itself, and fig*-right reuses fig*-left's conditional
-    # runs.  The eight presets hold four contexts.
-    counts = count_calls(monkeypatch, "propagator", "mu_player",
-                         "bath_contribution")
+    # runs.  The eight presets hold four contexts.  U is built once per
+    # context, for its grid; the bath solve and --oracle read the grid's copy
+    names = ("propagator", "mu_player", "bath_contribution", "build_generator")
+    counts = count_calls(monkeypatch, *names)
     common = ["--t-max", "0.05", "--no-csv", "--out", str(tmp_path)]
     one = ["--preset", "fig6-left"]
-    for argv, expected in ((one, (1, 1, 1)),
-                           (one + ["--ltp", "--oracle"], (1, 5, 1)),
-                           (["--all-presets", "--ltp"], (4, 24, 4))):
+    for argv, expected in ((one, (1, 1, 1, 1)),
+                           (one + ["--ltp", "--oracle"], (1, 5, 1, 1)),
+                           (["--all-presets", "--ltp"], (4, 24, 4, 4))):
         empty_slots()
         counts.clear()
         code, _, err = run_cli(argv + common, capsys)
         assert code == 0, err
-        assert (counts["propagator"], counts["mu_player"],
-                counts["bath_contribution"]) == expected
+        assert tuple(counts[name] for name in names) == expected
     empty_slots()
     counts.clear()
     oracle.ltp_residual(PRESETS["fig6-right"])
-    assert (counts["propagator"], counts["mu_player"],
-            counts["bath_contribution"]) == (1, 5, 1)
+    assert tuple(counts[name] for name in names) == (1, 5, 1, 1)
 
 
 def test_grid_too_large_is_config_error(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_scenario_grid_rebuilds_for_a_new_key(change):
     scenario_grid(SHORT)
     s = dataclasses.replace(SHORT, **change)
     grid = scenario_grid(s)
-    fresh = propagator(build_generator(s.params), make_times(s.t_max, s.dt))
+    fresh = propagator(build_generator(s.params), s.t_max, s.dt)
     assert grid.times.tobytes() == fresh.times.tobytes()
     assert grid.rows.tobytes() == fresh.rows.tobytes()
     assert grid.used_fallback == fresh.used_fallback
@@ -166,7 +166,7 @@ def test_make_times():
 
 def test_propagator_identity_at_zero():
     U = build_generator(make_params(mu_ex=500.0))
-    grid = propagator(U, make_times(0.01, 1e-4))
+    grid = propagator(U, 0.01, 1e-4)
     assert np.abs(player_rows(grid, 0) - np.eye(4)[:2]).max() <= 1e-12
     assert not grid.used_fallback
 
@@ -175,8 +175,8 @@ def test_propagator_free_case_diagonal_phases():
     w1, w2 = 1.3, 0.7
     U = build_generator(make_params(omega1=w1, omega2=w2,
                                       lambda1=0.0, lambda2=0.0))
-    times = make_times(2.0, 1e-2)
-    grid = propagator(U, times)
+    grid = propagator(U, 2.0, 1e-2)
+    times = grid.times
     expected = np.zeros((len(times), 4, 4), dtype=complex)
     for k, w in enumerate((-w1, -w2, w1, w2)):
         expected[:, k, k] = np.exp(1j * w * times)
@@ -186,16 +186,15 @@ def test_propagator_free_case_diagonal_phases():
 def test_propagator_decoupled_damping_magnitude():
     params = make_params(lambda2=0.0)
     gamma1 = params.gamma1
-    times = make_times(1.0, 1e-3)
-    grid = propagator(build_generator(params), times)
-    assert np.abs(np.abs(grid.rows[0, 0]) - np.exp(-gamma1 * times)).max() <= 1e-12
+    grid = propagator(build_generator(params), 1.0, 1e-3)
+    assert np.abs(np.abs(grid.rows[0, 0]) - np.exp(-gamma1 * grid.times)).max() <= 1e-12
 
 
 def test_propagator_semigroup_on_stiff_preset():
     U = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
                                       Omega2=0.1, lambda1=0.5, lambda2=0.5,
                                       mu_ex=500.0, mu_coop=0.0))
-    grid = propagator(U, make_times(0.5, 1e-4))
+    grid = propagator(U, 0.5, 1e-4)
     for i, j in ((1234, 2345), (100, 4000), (2500, 2500)):
         assert semigroup_deviation(U, grid, i, j) <= 1e-9
 
@@ -204,7 +203,7 @@ def test_propagator_semigroup_on_stiff_preset():
 @settings(deadline=None, max_examples=30)
 def test_propagator_semigroup_property(params):
     U = build_generator(params)
-    grid = propagator(U, make_times(0.4, 1e-2))
+    grid = propagator(U, 0.4, 1e-2)
     if not grid.used_fallback:
         # near eigenvalue coalescence the spectral route loses digits
         # before the fallback threshold; keep the property test away from
@@ -215,19 +214,47 @@ def test_propagator_semigroup_property(params):
 
 
 def test_propagator_rejects_bad_grids():
-    U = build_generator(make_params())
+    # the grid rule a Scenario obeys, with its messages: a grid that would
+    # end short of t_max, overflow or exceed MAX_GRID_POINTS is a
+    # ValueError before any work
+    s = PRESETS["fig1-left"]
+    U = build_generator(s.params)
+    for t_max, dt, message in ((1.0, 0.0, "dt must be positive"),
+                               (1.0, -0.1, "dt must be positive"),
+                               (1.0, 1.5, "must be smaller than t_max"),
+                               (1.0, 1.0, "must be smaller than t_max"),
+                               (math.inf, 0.1, "t_max must be finite"),
+                               (math.nan, 0.1, "t_max must be finite"),
+                               (1.0, 0.7, "not a whole number of dt"),
+                               (1e300, 1e-300, "inf points"),
+                               (1.0, 1e-7, "grid too large")):
+        with pytest.raises(ValueError, match=message) as from_propagator:
+            propagator(U, t_max, dt)
+        with pytest.raises(ValueError) as from_scenario:
+            dataclasses.replace(s, t_max=t_max, dt=dt)
+        assert str(from_propagator.value) == str(from_scenario.value)
+
+
+@pytest.mark.parametrize("t_max, dt", [(0.5, 1e-4), (0.3, 0.1), (2.0, 1.0)])
+def test_propagator_makes_its_own_read_only_grid(t_max, dt):
+    # the table identity V(t_{qB+b}) = V(t_qB) V(t_b) needs the exact grid
+    # make_times gives; 0.3 / 0.1 ends one ulp past 0.3
+    grid = propagator(build_generator(make_params()), t_max, dt)
+    assert grid.times.tobytes() == make_times(t_max, dt).tobytes()
     with pytest.raises(ValueError):
-        propagator(U, np.array([0.0]))
+        grid.times[0] = 1.0
+
+
+def test_grid_generator_is_a_read_only_copy_of_U():
+    U = build_generator(make_params(mu_ex=2.0))
+    expected = U.copy()
+    grid = propagator(U, 0.1, 1e-2)
+    assert grid.generator.dtype == complex
+    assert np.array_equal(grid.generator, expected)
     with pytest.raises(ValueError):
-        propagator(U, np.array([0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        propagator(U, np.array([0.0, 0.1, 0.15]))
-    # the table identity V(t_{qB+b}) = V(t_qB) V(t_b) holds on a grid from
-    # exactly 0; a grid just off it is a ValueError, not a failed route
-    U = build_generator(PRESETS["fig1-left"].params)
-    for offset in (5e-13, -5e-13, 5e-324):
-        with pytest.raises(ValueError, match="must start at 0"):
-            propagator(U, make_times(0.5, 1e-4) + offset)
+        grid.generator[0, 0] = 0.0
+    U[0, 0] = 7.0
+    assert np.array_equal(grid.generator, expected)
 
 
 def test_propagator_fallback_on_defective_generator():
@@ -235,8 +262,8 @@ def test_propagator_fallback_on_defective_generator():
     # fallback exponential is exact there: e^{iUt} = 1 + iUt
     U = np.zeros((4, 4), dtype=complex)
     U[0, 1] = 1.0
-    times = make_times(1.0, 0.1)
-    grid = propagator(U, times)
+    grid = propagator(U, 1.0, 0.1)
+    times = grid.times
     assert grid.used_fallback
     expected = np.eye(4)[None, :, :] + 1j * U[None, :, :] * times[:, None, None]
     assert np.abs(grid.rows - as_rows(expected)).max() <= 1e-12
@@ -247,8 +274,8 @@ def test_propagator_table_squares_large_steps():
     # the table need 6 to 8 squarings; e^{iUt} = 1 + iUt - (Ut)^2 / 2
     U = np.zeros((4, 4), dtype=complex)
     U[0, 1] = U[1, 2] = 25.0
-    times = make_times(10.0, 0.5)
-    grid = propagator(U, times)
+    grid = propagator(U, 10.0, 0.5)
+    times = grid.times
     assert grid.used_fallback
     iUt = 1j * U[None, :, :] * times[:, None, None]
     expected = np.eye(4) + iUt + iUt @ iUt / 2.0
@@ -270,8 +297,8 @@ exceptional_detunes = st.one_of(
 @settings(deadline=None, max_examples=80)
 def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max):
     U = build_generator(exceptional_params(detune, g1, g2, omega))
-    times = make_times(t_max, t_max / 2000)
-    grid = propagator(U, times)
+    grid = propagator(U, t_max, t_max / 2000)
+    times = grid.times
 
     # the documented trigger: cond(P) > 1e8, or P P^-1 missing the
     # identity by more than 1e-12
@@ -292,7 +319,7 @@ def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max)
 def test_propagator_fallback_near_eigenvalue_coalescence():
     # at the exceptional point the eigenvector matrix condition number
     # blows up and either fallback trigger must fire
-    grid = propagator(build_generator(exceptional_params()), make_times(1.0, 1e-2))
+    grid = propagator(build_generator(exceptional_params()), 1.0, 1e-2)
     assert grid.used_fallback
     assert np.abs(player_rows(grid, 0) - np.eye(4)[:2]).max() <= 1e-12
 
@@ -334,7 +361,7 @@ def assert_forms_match_expm(U, grid, initial, tol):
 def test_forms_match_expm_on_presets(name):
     s = PRESETS[name]
     U = build_generator(s.params)
-    assert_forms_match_expm(U, propagator(U, make_times(s.t_max, s.dt)),
+    assert_forms_match_expm(U, propagator(U, s.t_max, s.dt),
                             s.initial, 1e-14)
 
 
@@ -364,7 +391,7 @@ def test_forms_match_expm_on_and_near_exceptional_points(detune, g1, g2, omega,
     # scale n eps cond(P), n = 4 (see the propagator test above), which
     # passes 1e-14 once cond(P) exceeds ~10
     U = build_generator(exceptional_params(detune, g1, g2, omega))
-    grid = propagator(U, make_times(t_max, t_max / 2000))
+    grid = propagator(U, t_max, t_max / 2000)
     tol = 1e-14
     if not grid.used_fallback:
         tol = max(tol, 4 * np.finfo(float).eps * np.linalg.cond(np.linalg.eig(U)[1]))
@@ -440,16 +467,16 @@ def test_grid_builds_rows_once_and_holds_no_V():
         rows = grid.rows
         assert rows.shape == (4, 2, len(grid.times)) and not rows.flags.writeable
         decision_series(s)
-        propagator_residual(build_generator(s.params), grid)
+        propagator_residual(grid)
         assert scenario_grid(s) is grid and grid.rows is rows
-        assert set(vars(grid)) == {"times", "used_fallback", "rows"}
+        assert set(vars(grid)) == {"times", "generator", "used_fallback", "rows"}
         for value in vars(grid).values():
             assert np.shape(value) != (len(grid.times), 4, 4)
 
 
 def test_mu_player_identity_propagator():
     # U = 0 gives V(t) = 1 at every grid point
-    grid = propagator(np.zeros((4, 4)), make_times(0.1, 0.05))
+    grid = propagator(np.zeros((4, 4)), 0.1, 0.05)
     mu1, mu2 = mu_player(grid, InitialState.basis_state(1, 0))
     assert mu1 == pytest.approx([1.0] * 3) and mu2 == pytest.approx([0.0] * 3)
     mu1, mu2 = mu_player(grid, InitialState(0.5, 0.5, 0.5, 0.5))
@@ -458,15 +485,13 @@ def test_mu_player_identity_propagator():
 
 def test_mu_player_decoupled_decay():
     params = make_params(lambda2=0.0)
-    times = make_times(1.0, 1e-3)
-    grid = propagator(build_generator(params), times)
+    grid = propagator(build_generator(params), 1.0, 1e-3)
     mu1, _ = mu_player(grid, InitialState.basis_state(1, 0))
-    assert np.abs(mu1 - np.exp(-2.0 * params.gamma1 * times)).max() <= 1e-12
+    assert np.abs(mu1 - np.exp(-2.0 * params.gamma1 * grid.times)).max() <= 1e-12
 
 
 def test_delta_mu_zero_for_basis_states():
-    grid = propagator(build_generator(make_params(mu_ex=2.0, mu_coop=1.0)),
-                      make_times(1.0, 1e-2))
+    grid = propagator(build_generator(make_params(mu_ex=2.0, mu_coop=1.0)), 1.0, 1e-2)
     for l in (0, 1):
         for k in (0, 1):
             d1, d2 = delta_mu(grid, InitialState.basis_state(k, l))
@@ -475,14 +500,14 @@ def test_delta_mu_zero_for_basis_states():
 
 
 def test_delta_mu_zero_at_identity():
-    grid = propagator(np.zeros((4, 4)), make_times(0.1, 0.05))
+    grid = propagator(np.zeros((4, 4)), 0.1, 0.05)
     d1, d2 = delta_mu(grid, InitialState(0.5, 0.5, 0.5, 0.5))
     assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
 
 def test_bath_contribution_zero_couplings():
     params = make_params(lambda1=0.0, lambda2=0.0)
-    grid = propagator(build_generator(params), make_times(1.0, 1e-2))
+    grid = propagator(build_generator(params), 1.0, 1e-2)
     nB1, nB2 = bath_contribution(ReservoirState(1.0, 1.0), params, grid)
     assert np.abs(nB1).max() == 0.0
     assert np.abs(nB2).max() == 0.0
@@ -492,10 +517,9 @@ def test_bath_contribution_zero_couplings():
 def test_bath_contribution_decoupled_closed_form(N1):
     params = make_params(lambda2=0.0)
     gamma1 = params.gamma1
-    times = make_times(1.0, 1e-4)
-    grid = propagator(build_generator(params), times)
+    grid = propagator(build_generator(params), 1.0, 1e-4)
     nB1, nB2 = bath_contribution(ReservoirState(N1, 0.7), params, grid)
-    expected = N1 * (1.0 - np.exp(-2.0 * gamma1 * times))
+    expected = N1 * (1.0 - np.exp(-2.0 * gamma1 * grid.times))
     assert np.abs(nB1 - expected).max() <= 1e-12
     assert np.abs(nB2).max() == 0.0
 
@@ -507,11 +531,12 @@ def test_bath_contribution_matches_block_exponential(scenario):
     # exp(Gamma t), so the horizons stay short enough for 1e-12
     if scenario == "fig6-right":
         s = PRESETS["fig6-right"]
-        params, reservoir, times = s.params, s.reservoir, make_times(s.t_max, s.dt)
+        params, reservoir, t_max, dt = s.params, s.reservoir, s.t_max, s.dt
     else:
         params, reservoir = exceptional_params(), ReservoirState(0.3, 0.8)
-        times = make_times(2.0, 1e-3)
-    grid = propagator(build_generator(params), times)
+        t_max, dt = 2.0, 1e-3
+    grid = propagator(build_generator(params), t_max, dt)
+    times = grid.times
     assert grid.used_fallback == (scenario == "exceptional-point")
     nB1, nB2 = bath_contribution(reservoir, params, grid)
 
@@ -538,7 +563,7 @@ def test_saturated_state_stays_in_bounds_near_exceptional_point(detune, N, k):
     s = make_scenario(params, InitialState.basis_state(k, k), N1=N, N2=N,
                       t_max=5.0, dt=1e-3)
     series = decision_series(s)
-    grid = propagator(build_generator(params), series.times)
+    grid = propagator(build_generator(params), s.t_max, s.dt)
     assert grid.used_fallback == (detune == 0.0)
     assert series.n.min() >= -1e-10 and series.n.max() <= 1.0 + 1e-10
 
@@ -599,7 +624,7 @@ def test_mu_linearity_in_probabilities(alpha):
     # the direct part obeys the classical mixture rule over basis states
     params = make_params(mu_ex=3.0, mu_coop=1.0, lambda1=0.4, lambda2=0.3,
                          Omega1=1.0, Omega2=1.0)
-    grid = propagator(build_generator(params), make_times(0.5, 1e-2))
+    grid = propagator(build_generator(params), 0.5, 1e-2)
     weights = np.abs(alpha) ** 2
     mixed = np.zeros((len(grid.times), 2))
     for idx in range(4):

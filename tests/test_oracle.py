@@ -121,8 +121,8 @@ def test_propagator_residual_free_case_matches_taylor_bound():
     # exponentials, (omega_max dt)^2 omega_max / 6 to leading order
     w2, dt = 2.0, 1e-4
     U = build_generator(closed_params(omega1=1.0, omega2=w2))
-    grid = propagator(U, make_times(0.5, dt))
-    residual = propagator_residual(U, grid)
+    grid = propagator(U, 0.5, dt)
+    residual = propagator_residual(grid)
     predicted = w2 ** 3 * dt ** 2 / 6.0
     assert residual == pytest.approx(predicted, rel=0.05)
 
@@ -133,8 +133,8 @@ def test_propagator_residual_second_order_in_dt():
                                       mu_ex=500.0, mu_coop=0.0))
     residuals = []
     for dt in (2e-4, 1e-4):
-        grid = propagator(U, make_times(0.1, dt))
-        residuals.append(propagator_residual(U, grid))
+        grid = propagator(U, 0.1, dt)
+        residuals.append(propagator_residual(grid))
     assert 3.5 <= residuals[0] / residuals[1] <= 4.5
 
 
@@ -142,8 +142,8 @@ def test_propagator_residual_smooth_regime_bound():
     U = build_generator(ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1,
                                       Omega2=0.1, lambda1=0.5, lambda2=0.5,
                                       mu_ex=500.0, mu_coop=0.0))
-    grid = propagator(U, make_times(0.1, 1e-4))
-    residual = propagator_residual(U, grid)
+    grid = propagator(U, 0.1, 1e-4)
+    residual = propagator_residual(grid)
     bound = 1e-5 * np.linalg.norm(U, 2) ** 2 * np.abs(grid.rows).max()
     assert residual <= bound
 
@@ -153,12 +153,12 @@ def test_propagator_residual_keeps_no_V():
     # player rows (128 B per point), keeps nothing once it returns and
     # peaks below two V-sized arrays
     U = build_generator(PRESETS["fig3-left"].params)
-    grid = propagator(U, make_times(5.0, PRESETS["fig3-left"].dt))
+    grid = propagator(U, 5.0, PRESETS["fig3-left"].dt)
     nt = len(grid.times)
     assert nt == 50001
     tracemalloc.start()
     try:
-        propagator_residual(U, grid)
+        propagator_residual(grid)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -167,10 +167,10 @@ def test_propagator_residual_keeps_no_V():
 
 
 def test_propagator_residual_needs_three_points():
-    U = build_generator(closed_params())
-    grid = propagator(U, make_times(0.1, 0.1))
+    grid = propagator(build_generator(closed_params()), 0.2, 0.1)
+    grid = dataclasses.replace(grid, times=grid.times[:2], rows=grid.rows[..., :2])
     with pytest.raises(ValueError):
-        propagator_residual(U, grid)
+        propagator_residual(grid)
 
 
 def base_scenario(initial, label="ltp"):
@@ -201,8 +201,7 @@ def test_ltp_residual_equals_interference_part_at_exceptional_point():
     s = Scenario(params=exceptional_params(), reservoir=ReservoirState(0.3, 0.8),
                  initial=InitialState(0.5j, -0.5j, 0.5, -0.5), t_max=5.0,
                  dt=1e-3, label="ep")
-    assert propagator(build_generator(s.params),
-                      make_times(s.t_max, s.dt)).used_fallback
+    assert propagator(build_generator(s.params), s.t_max, s.dt).used_fallback
     _, R = ltp_residual(s)
     dmu = decision_series(s).dmu
     assert np.abs(dmu).max() > 1e-3
