@@ -7,10 +7,11 @@ Usage patterns:
     qduet --scenario my_run.json --ltp --oracle
     qduet --all-presets --out results
 
-Exactly one scenario source (--preset or --scenario) is required unless
---all-presets or --list-presets is given.  Exit status 0 on success, 1 on
-configuration errors (bad flags, unreadable files, invalid scenarios) and
-2 on numerical failures inside the simulation.
+Exactly one source is required: --preset, --scenario, --all-presets or
+--list-presets.  argparse enforces the rule, and rejects a preset name
+that does not exist.  Exit status 0 on success, 1 on configuration
+errors (bad flags, unreadable files, invalid scenarios) and 2 on
+numerical failures inside the simulation.
 
 Per run the tool writes `<label>.csv` (columns
 t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2, 17 significant digits) and optionally
@@ -222,25 +223,9 @@ def _safe_name(label: str) -> str:
     return "".join(c if (c.isalnum() or c in "-._") else "_" for c in label) or "run"
 
 
-def _params_tag(s: Scenario) -> str:
-    p = s.params
-    base = {k: getattr(p, k) for k in C1}
-    if base == C1:
-        tag = "C1"
-    elif base == C2:
-        tag = "C2"
-    else:
-        tag = "custom"
-    return tag
-
-
-def _alpha_tag(s: Scenario) -> str:
-    a = s.initial
-    if a == CALPHA1:
-        return "Calpha1"
-    if a == CALPHA2:
-        return "Calpha2"
-    return "custom"
+def _tag(value, named: dict) -> str:
+    """The name under which named holds value, or "custom"."""
+    return next((name for name, v in named.items() if v == value), "custom")
 
 
 def list_presets() -> str:
@@ -252,9 +237,12 @@ def list_presets() -> str:
     lines.append("-" * len(header))
     for name, s in PRESETS.items():
         p = s.params
+        base = {k: getattr(p, k) for k in C1}
         lines.append(
-            f"{name:<12} {_params_tag(s):<7} {s.reservoir.N1:>4g} {s.reservoir.N2:>4g} "
-            f"{p.mu_ex:>7g} {p.mu_coop:>7g} {_alpha_tag(s):<8} {s.t_max:>6g} {s.dt:>8g}")
+            f"{name:<12} {_tag(base, {'C1': C1, 'C2': C2}):<7} "
+            f"{s.reservoir.N1:>4g} {s.reservoir.N2:>4g} {p.mu_ex:>7g} {p.mu_coop:>7g} "
+            f"{_tag(s.initial, {'Calpha1': CALPHA1, 'Calpha2': CALPHA2}):<8} "
+            f"{s.t_max:>6g} {s.dt:>8g}")
     return "\n".join(lines)
 
 
@@ -263,11 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qduet",
         description="Simulate two-player quantum-like decision dynamics and "
                     "analyze the resulting decision functions.")
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--preset", metavar="NAME",
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", metavar="NAME", choices=PRESETS,
                         help="built-in scenario name (see --list-presets)")
     source.add_argument("--scenario", metavar="FILE",
                         help="JSON scenario file")
+    source.add_argument("--all-presets", action="store_true",
+                        help="run every built-in preset")
+    source.add_argument("--list-presets", action="store_true",
+                        help="print the preset table and exit")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current directory)")
     parser.add_argument("--csv", default=True, action=argparse.BooleanOptionalAction,
@@ -290,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the scenario's t_max")
     parser.add_argument("--dt", type=float, default=None, metavar="F",
                         help="override the scenario's dt")
-    parser.add_argument("--all-presets", action="store_true",
-                        help="run every built-in preset")
-    parser.add_argument("--list-presets", action="store_true",
-                        help="print the preset table and exit")
     return parser
 
 
@@ -366,24 +354,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.all_presets:
-        if args.preset or args.scenario:
-            raise ScenarioError("--all-presets cannot be combined with "
-                                "--preset or --scenario")
         scenarios = list(PRESETS.values())
     elif args.preset:
-        if args.preset not in PRESETS:
-            raise ScenarioError(
-                f"unknown preset {args.preset!r}; available: "
-                + ", ".join(PRESETS))
         scenarios = [PRESETS[args.preset]]
-    elif args.scenario:
+    else:
         path = Path(args.scenario)
         if not path.exists():
             raise ScenarioError(f"scenario file not found: {path}")
         scenarios = [load_scenario(path)]
-    else:
-        raise ScenarioError("one of --preset, --scenario, --all-presets or "
-                            "--list-presets is required")
 
     grid = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt))
             if v is not None}

@@ -73,8 +73,8 @@ last context, keyed on (params, t_max, dt, reservoir).  Its record holds
 
   * the propagator grid, with read-only times and player rows, from
     scenario_grid;
-  * the read-only nB, from one bath_contribution call on the context's
-    first assembly, so that a run assembles only its mu and dmu forms;
+  * the read-only nB, from one bath_contribution call when the context
+    is built, so that a run assembles only its mu and dmu forms;
   * the last series decision_series assembled, returned again (under the
     caller's scenario, and so the caller's label) for the same initial
     state;
@@ -384,19 +384,21 @@ class _Context:
     """What every run in one (params, t_max, dt, reservoir) context shares."""
 
     grid: PropagatorGrid
-    nB: np.ndarray | None = None
+    nB: np.ndarray
     series: DecisionSeries | None = None
     conditional_n: tuple[np.ndarray, ...] | None = None
 
 
 def _context(s: Scenario) -> _Context:
-    """The kept record of s's run context, built with its grid if new."""
+    """The kept record of s's run context, built with its grid and nB if new."""
     key = (s.params, s.t_max, s.dt, s.reservoir)
     context = _context_slot.get(key)
     if context is None:
         _context_slot.clear()  # release the old record before building the next
         grid = propagator(build_generator(s.params), s.t_max, s.dt)
-        context = _context_slot[key] = _Context(grid)
+        nB = bath_contribution(s.reservoir, s.params, grid).T
+        nB.flags.writeable = False
+        context = _context_slot[key] = _Context(grid, nB)
     return context
 
 
@@ -406,9 +408,9 @@ def scenario_grid(s: Scenario) -> PropagatorGrid:
     The grid is propagator(build_generator(s.params), s.t_max, s.dt), the
     only build of U, once per run context, that is per (s.params, s.t_max,
     s.dt, s.reservoir): scenarios that differ only in initial state or
-    label share it.  The slot is emptied before a different context is
-    built, so at most one grid is ever held, and it stays in memory after
-    the run.
+    label share it.  A new context is built whole, its nB included.  The
+    slot is emptied before a different context is built, so at most one
+    grid is ever held, and it stays in memory after the run.
     """
     return _context(s).grid
 
@@ -417,8 +419,8 @@ def decision_series(s: Scenario) -> DecisionSeries:
     """Run a scenario: propagate, assemble n_j = mu + dmu + nB.
 
     The grid and nB come from the run context of s, keyed on (params,
-    t_max, dt, reservoir): nB is assembled on the context's first run
-    and read-only, so a run assembles its mu and dmu forms only.  The
+    t_max, dt, reservoir): nB is assembled with the context's grid and
+    read-only, so a run assembles its mu and dmu forms only.  The
     returned times array is the grid's read-only one.
     Two checks run on every assembly: n_j(0) must reproduce the Born
     marginals within 1e-10, and the decision functions must stay inside
@@ -438,10 +440,6 @@ def decision_series(s: Scenario) -> DecisionSeries:
         return replace(last, scenario=s)
     context.series = None  # release the old series before assembling the next
     grid = context.grid
-    if context.nB is None:
-        nB = bath_contribution(s.reservoir, s.params, grid).T
-        nB.flags.writeable = False
-        context.nB = nB
     mu = mu_player(grid, s.initial).T
     dmu = delta_mu(grid, s.initial).T
     n = mu + dmu + context.nB

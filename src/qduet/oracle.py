@@ -19,7 +19,9 @@ whole production runs:
 
   * propagator_residual: a central-difference check that the sampled
     player rows of a grid solve dV/dt = V i U for the grid's own
-    generator U, with the expected second-order behavior in dt.
+    generator U, with the expected second-order behavior in dt.  It walks
+    the grid in chunks of dynamics.CHUNK_POINTS points, so its scratch is
+    bounded whatever t_max is.
 
   * ltp_residual: the decision functions compared against the classical
     law of total probability.  Four conditional simulations started from
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import algebra
+from . import algebra, dynamics
 from .dynamics import PropagatorGrid, conditional_runs, decision_series
 from .model import _N_DIAG, InitialState, ModelParams, Scenario
 
@@ -100,19 +102,27 @@ def propagator_residual(grid: PropagatorGrid) -> float:
 
     V = exp(i U t) commutes with U = grid.generator, so its player rows obey
     d/dt V_j = V_j i U; the defect is taken on the grid's rows at the
-    interior grid points, and no (nt, 4, 4) array of V is formed.  Needs
-    at least 3 points.  The defect of the exact propagator sampled on the
+    interior grid points, in chunks of dynamics.CHUNK_POINTS points, and
+    no (nt, 4, 4) array of V is formed.  Each point's defect depends only
+    on its own rows, so the chunking never changes the result.  Needs at
+    least 3 points.  The defect of the exact propagator sampled on the
     grid is the Taylor remainder of the central difference, O(dt^2), so
     halving dt must shrink the result by about 4.
     """
     times, rows = grid.times, grid.rows
-    if len(times) < 3:
+    nt = len(times)
+    if nt < 3:
         raise ValueError("residual needs at least 3 grid points")
     dt = times[1] - times[0]
-    defect = rows[..., 2:] - rows[..., :-2]
-    defect /= 2.0 * dt
-    defect -= np.einsum("ajt,ac->cjt", rows[..., 1:-1], 1j * grid.generator)
-    return float(np.abs(defect).max())
+    iU = 1j * grid.generator
+    worst = 0.0
+    for k0 in range(1, nt - 1, dynamics.CHUNK_POINTS):
+        k1 = min(k0 + dynamics.CHUNK_POINTS, nt - 1)
+        defect = rows[..., k0 + 1:k1 + 1] - rows[..., k0 - 1:k1 - 1]
+        defect /= 2.0 * dt
+        defect -= np.einsum("ajt,ac->cjt", rows[..., k0:k1], iU)
+        worst = np.maximum(worst, np.abs(defect).max())  # a nan stays
+    return float(worst)
 
 
 def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:

@@ -160,7 +160,7 @@ def test_grid_rule_violation_reports_required_dt(tmp_path, capsys):
 def test_unknown_preset(capsys):
     code, out, err = run_cli(["--preset", "nope"], capsys)
     assert code == 1
-    assert "unknown preset" in err
+    assert "invalid choice" in err and "fig1-left" in err
 
 
 def test_no_source_given(capsys):
@@ -238,9 +238,18 @@ def test_window_may_reach_the_last_grid_point(tmp_path, capsys):
     assert out.count("window=0.3)") == 2
 
 
-def test_all_presets_conflicts_with_single_source(capsys):
-    code, out, err = run_cli(["--all-presets", "--preset", "fig1-left"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["--all-presets", "--preset", "fig1-left"],
+    # --list-presets is a source of its own, so it takes no other
+    ["--list-presets", "--preset", "fig1-left"],
+    ["--list-presets", "--preset", "nope"],
+    ["--list-presets", "--all-presets"],
+    ["--list-presets", "--scenario", "x.json"],
+], ids=" ".join)
+def test_all_presets_conflicts_with_single_source(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
+    assert out == "" and list_presets() not in err
 
 
 def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):

@@ -430,10 +430,15 @@ def test_chunk_length_changes_no_bit(route, monkeypatch):
             monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
         empty_slots()
         series = decision_series(s)
-        assert scenario_grid(s).used_fallback == (route == "fallback")
-        runs.append([a.tobytes() for a in (series.mu, series.dmu, series.nB, series.n)])
+        grid = scenario_grid(s)
+        assert grid.used_fallback == (route == "fallback")
+        # the oracle's defect walks the nt - 2 interior points in chunks
+        # too; a chunk of 7 leaves a one-point last chunk
+        runs.append([a.tobytes() for a in (series.mu, series.dmu, series.nB, series.n)]
+                    + [propagator_residual(grid)])
     nt = len(series.times)
     assert nt % 7 and nt % 1000 and nt % dynamics.CHUNK_POINTS
+    assert (nt - 2) % 7 == 1
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 

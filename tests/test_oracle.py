@@ -150,8 +150,9 @@ def test_propagator_residual_smooth_regime_bound():
 
 def test_propagator_residual_keeps_no_V():
     # V would take 256 B per grid point; the residual reads the grid's
-    # player rows (128 B per point), keeps nothing once it returns and
-    # peaks below two V-sized arrays
+    # player rows (128 B per point), keeps nothing once it returns, peaks
+    # below two V-sized arrays, and walks the grid in chunks: its scratch
+    # is bounded by the chunk, not by nt, and is less than one V
     U = build_generator(PRESETS["fig3-left"].params)
     grid = propagator(U, 5.0, PRESETS["fig3-left"].dt)
     nt = len(grid.times)
@@ -164,6 +165,7 @@ def test_propagator_residual_keeps_no_V():
         tracemalloc.stop()
     assert held <= 2 ** 16
     assert peak < 512 * nt
+    assert peak < 384 * dynamics.CHUNK_POINTS < 256 * nt
 
 
 def test_propagator_residual_needs_three_points():
