@@ -18,10 +18,12 @@ is left alone.
 import os
 import sys
 
-# Every matrix here is at most 16x16, so an OpenBLAS worker pool only
-# costs CPU.  The pool starts when the library loads, so the count must
-# be in the environment while numpy is imported; it is taken out again
-# so that child processes and later libraries keep their defaults.
+# The largest BLAS call here is a form's (2 nq x 32) by (32 x B) product,
+# under 1 ms on one thread at nt = 200001; an OpenBLAS worker pool split
+# it and took 6 to 8 ms on 2 cores, so the pool only costs CPU.  It
+# starts when the library loads, so the count must be in the environment
+# while numpy is imported; it is taken out again so that child processes
+# and later libraries keep their defaults.
 if "numpy" not in sys.modules and not any(
         v in os.environ for v in
         ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):

@@ -200,13 +200,20 @@ def asymptotics(series: DecisionSeries, tail_fraction: float = 0.2,
 
 
 def noise_metric(series: DecisionSeries, window: tuple[float, float]) -> tuple[float, float]:
-    """Standard deviation of each decision function over [t_a, t_b]."""
+    """Standard deviation of each decision function over [t_a, t_b].
+
+    The window is the grid points k with t_a <= times[k] <= t_b, cut from
+    the sorted times by two binary searches; each player's std is taken on
+    its own column of that slice.
+    """
     t_a, t_b = window
     if t_b < t_a:
         raise ValueError(f"window must be ordered, got [{t_a}, {t_b}]")
-    mask = (series.times >= t_a) & (series.times <= t_b)
-    if not mask.any():
+    times = series.times
+    k0 = np.searchsorted(times, t_a, side="left")
+    k1 = np.searchsorted(times, t_b, side="right")
+    # a nan bound sorts past every time: the last point must lie in the window
+    if k0 >= k1 or not times[k1 - 1] <= t_b:
         raise ValueError(f"window [{t_a}, {t_b}] contains no grid points")
-    segment = series.n[mask]
-    std = segment.std(axis=0)
-    return float(std[0]), float(std[1])
+    segment = series.n[k0:k1]
+    return float(segment[:, 0].std()), float(segment[:, 1].std())

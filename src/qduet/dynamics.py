@@ -31,25 +31,31 @@ for a Hermitian 4x4 weight W:
 
 A propagator grid is a value of (U, t_max, dt): its times are
 make_times(t_max, dt), its generator a read-only copy of U, and of V it
-holds only the player rows:
-rows[c, j - 1, k] = V_jc(t_k) for j = 1, 2, a read-only (4, 2, nt) array
-of 128 bytes per point, half of V and the half every form reads.  No
-(nt, 4, 4) array of V is formed.  f_j^W(t_k) is the Hermitian form
-Re(conj(x) W x^T) in the 4-vector x = rows[:, j - 1, k].
+holds two factor stacks of about sqrt(nt) matrices each.  With
+B = ceil(sqrt(nt)) and nq = ceil(nt / B), V(t_{qB+b}) = V(t_qB) V(t_b), so
+the grid keeps the outer stack O_q = V(t_qB)[:2] for q < nq and the inner
+stack I_b = V(t_b) for b < B, and no array of nt points.  Every form then
+splits over the two stacks,
 
-The rows come from a two-level table: with B = ceil(sqrt(nt)),
-V(t_{qB+b}) = V(t_{qB}) V(t_b), so the rows of the grid are those of the
-outer stack O_q = V(t_{qB})[:2] times the inner stack I_b = V(t_b), about
-sqrt(nt) matrices each.  One loop multiplies them out a block of whole
-table rows at a time, in a fixed order and with no BLAS call, and the
-stacks are dropped once the rows are built.  The two routes differ only
-in where the stacks come from:
+    f_j^W(t_{qB+b}) = sum_mn conj(O_q[j, m]) O_q[j, n] M_b[m, n],
+    M_b = conj(I_b) W I_b^T,
 
-  * Eigendecomposition: U = P diag(w) P^-1, so O_q = P[:2] diag(phi(t_qB))
-    and I_b = diag(phi(t_b)) P^-1 with the phase vector phi(t) = exp(i w t),
-    2 sqrt(nt) phase vectors in all.  The rows of V round at eps cond(P).
-    (A form could also be taken in the eigenbasis as phi^H C phi, with
-    C_ab = conj(P_ja) P_jb (conj(P^-1) W P^-T)_ab, and need no rows; but
+and both factors are Hermitian in (m, n), so f is the real part of a
+32-term sum: the real and the negated imaginary parts of the outer
+products conj(O_q[j, m]) O_q[j, n] against the real and imaginary parts
+of M_b.  The outer products depend on the grid alone, so the grid keeps
+them too, as a (2 nq, 32) real matrix; a form builds the (32, B) matrix
+of its M_b, and one real matrix product of the two gives f at all
+nq B >= nt table points at once, the first nt being the grid's.  That
+product is the only BLAS call an assembly makes; each output depends
+only on its own q and b, so it needs no chunking.  The two routes differ
+only in where the stacks come from:
+
+  * Eigendecomposition: U = P diag(w) P^-1, so both stacks are the true
+    propagators (P diag(phi(t))) P^-1 with the phase vector
+    phi(t) = exp(i w t), 2 sqrt(nt) phase vectors in all, and they round
+    at eps cond(P).  (A form could also be taken in the eigenbasis as
+    phi^H C phi, with C_ab = conj(P_ja) P_jb (conj(P^-1) W P^-T)_ab; but
     its terms grow like cond(P)^2 and round at eps cond(P)^2, which near
     an exceptional point, at cond(P) ~ 1e4, fails the 1e-10 Born check at
     t = 0.)
@@ -57,12 +63,13 @@ in where the stacks come from:
     Taylor series each, _expm_stack, which needs no eigenvectors and so
     holds at exceptional points.
 
-One kernel, _form, evaluates the forms in fixed chunks of CHUNK_POINTS
-grid points, so the scratch an assembly needs is bounded whatever t_max
-is.  U is not normal once damping and couplings compete, so P can be
+U is not normal once damping and couplings compete, so P can be
 ill-conditioned near parameter points where eigenvalues coalesce; the
 table runs instead when cond(P) exceeds 1e8 or when P P^-1 misses the
-identity by more than 1e-12.
+identity by more than 1e-12.  The player rows of V themselves are formed
+only on request, a chunk of grid points at a time, by
+PropagatorGrid.player_rows; the oracle's defect walks them in chunks of
+CHUNK_POINTS points.
 
 A Scenario is valid by construction, so nothing here validates it
 again.  Runs in one information environment, that is with the same
@@ -71,15 +78,16 @@ its four law-of-total-probability conditional runs and a sweep over
 initial states.  They share one run context, and one slot keeps the
 last context, keyed on (params, t_max, dt, reservoir).  Its record holds
 
-  * the propagator grid, with read-only times and player rows, from
-    scenario_grid;
+  * the propagator grid, with read-only times, factor stacks and outer
+    terms, from scenario_grid;
   * the read-only nB, from one bath_contribution call when the context
     is built, so that a run assembles only its mu and dmu forms;
   * the last series decision_series assembled, returned again (under the
     caller's scenario, and so the caller's label) for the same initial
     state;
   * once conditional_runs asks for them, the read-only n of the four
-    runs started from the sharp basis states.
+    runs started from the sharp basis states.  They are assembled beside
+    the kept series and leave it in place.
 
 The slot is emptied before a different context is built, so at most one
 record is held, and it stays in memory after a run.  A run that fails
@@ -121,8 +129,7 @@ __all__ = [
 COND_LIMIT = 1e8
 IDENTITY_TOL = 1e-12
 BOUND_TOL = 1e-8
-# grid points per chunk of the quadratic-form kernel; the row build takes
-# blocks of whole table rows of B points, at least one
+# grid points per chunk of player rows in oracle.propagator_residual's walk
 CHUNK_POINTS = 16384
 
 # B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
@@ -139,20 +146,42 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorGrid:
-    """The player rows of V(t_k) = exp(i U t_k) on a uniform grid from 0.
+    """V(t_k) = exp(i U t_k) on a uniform grid from 0, as two factor stacks.
 
-    times = make_times(t_max, dt) and the generator U are read-only.
-    rows[c, j - 1, k] = V_jc(t_k) for the players j = 1, 2, a read-only
-    (4, 2, nt) complex array built by propagator.  used_fallback is True
-    when the factor stacks of the rows came from the scaling-and-squaring
-    exponential instead of the eigendecomposition; the rows are built the
-    same way on either route.
+    times = make_times(t_max, dt) and the generator U are read-only.  With
+    B = ceil(sqrt(nt)) and nq = ceil(nt / B), V(t_{qB+b}) = V(t_qB) V(t_b),
+    and the grid keeps the two read-only stacks with the time index last:
+    outer[..., q] = V(t_qB)[:2] for q < nq, a (2, 4, nq) complex array, and
+    inner[..., b] = V(t_b) for b < B, a (4, 4, B) one.  outer_terms is the
+    left factor every form shares, the read-only (2 nq, 32) real matrix
+    whose row (j, q) holds Re, then -Im, of conj(O_q[j, m]) O_q[j, n],
+    m-major.  used_fallback is True when the stacks came from the
+    scaling-and-squaring exponential instead of the eigendecomposition.
     """
 
     times: np.ndarray
     generator: np.ndarray
     used_fallback: bool
-    rows: np.ndarray
+    outer: np.ndarray
+    inner: np.ndarray
+    outer_terms: np.ndarray
+
+    def player_rows(self, k0: int, k1: int) -> np.ndarray:
+        """V(t_k)[:2] for k0 <= k < k1 as a (2, 4, k1 - k0) array.
+
+        Row j of V(t_{qB+b}) is sum_a outer[j, a, q] inner[a, :, b], summed
+        in a fixed order with no BLAS call, so the bits of a point do not
+        depend on the range asked for.  The scratch is two arrays of
+        128 bytes per point over the whole table rows the range touches.
+        """
+        B = self.inner.shape[-1]
+        q0, q1 = k0 // B, -(-k1 // B)
+        O = self.outer[:, :, None, q0:q1, None]  # [j, a, ., q, .]
+        I = self.inner[None, :, :, None, :]      # [., a, c, ., b]
+        rows = O[:, 0] * I[:, 0]
+        for a in range(1, 4):
+            rows += O[:, a] * I[:, a]
+        return rows.reshape(2, 4, (q1 - q0) * B)[..., k0 - q0 * B:k1 - q0 * B]
 
 
 @dataclass(frozen=True)
@@ -195,28 +224,25 @@ def make_times(t_max: float, dt: float) -> np.ndarray:
 
 
 def propagator(U: np.ndarray, t_max: float, dt: float) -> PropagatorGrid:
-    """The player rows of V(t) = exp(i U t) on the grid make_times(t_max, dt).
+    """V(t) = exp(i U t) on the grid make_times(t_max, dt), as two stacks.
 
-    With B = ceil(sqrt(nt)), rows of V(t_{qB+b}) = O_q I_b are multiplied
-    out of two stacks: the outer player rows O_q = V(t_{qB})[:2] and the
-    inner I_b = V(t_b).  The route decides only where the stacks come
-    from.  Route 1: one eigendecomposition U = P diag(w) P^-1, with
-    O_q = P[:2] diag(exp(i w t_qB)) and I_b = diag(exp(i w t_b)) P^-1.
-    Route 2 (fallback): both stacks from _expm_stack; it runs when P is
-    ill-conditioned (cond > 1e8, U nearly defective) or when P P^-1
-    misses the identity by more than 1e-12.  One BLAS-free loop builds
-    the rows of either route a block of whole table rows (about
-    CHUNK_POINTS points) at a time, writing each block straight into the
-    result.  The grid keeps its times, a copy of U and the rows read-only.
-    A (t_max, dt) that breaks grid_steps' rule is a ScenarioError.
+    With B = ceil(sqrt(nt)) the grid keeps the outer player rows
+    V(t_qB)[:2] and the inner stack V(t_b), about sqrt(nt) matrices each.
+    The route decides where they come from.  Route 1: one
+    eigendecomposition U = P diag(w) P^-1, and each stack is
+    (P diag(exp(i w t))) P^-1 at its own times.  Route 2 (fallback): both
+    stacks from _expm_stack; it runs when P is ill-conditioned
+    (cond > 1e8, U nearly defective) or when P P^-1 misses the identity by
+    more than 1e-12.  The grid keeps its times, a copy of U, the stacks
+    and the outer stack's products, outer_terms, all read-only.  A
+    (t_max, dt) that breaks grid_steps' rule is a ScenarioError.
     """
     U = np.array(U, dtype=complex)
     if not np.all(np.isfinite(U)):
         raise ValueError("generator contains non-finite entries")
     times = make_times(t_max, dt)
     U.flags.writeable = times.flags.writeable = False
-    nt = len(times)
-    B = math.isqrt(nt - 1) + 1  # ceil(sqrt(nt))
+    B = math.isqrt(len(times) - 1) + 1  # ceil(sqrt(nt))
     try:
         w, P = np.linalg.eig(U)
         cond = np.linalg.cond(P)
@@ -227,34 +253,25 @@ def propagator(U: np.ndarray, t_max: float, dt: float) -> PropagatorGrid:
         Pinv = np.linalg.inv(P)
         if np.abs(P @ Pinv - np.eye(4)).max() <= IDENTITY_TOL:
             used_fallback = False
-            outer = P[:2] * np.exp(1j * np.outer(times[::B], w))[:, None, :]
-            inner = np.exp(1j * np.outer(times[:B], w))[:, :, None] * Pinv
+
+            def stack(t, rows):
+                return (P[:rows] * np.exp(1j * np.outer(t, w))[:, None, :]) @ Pinv
+
+            outer, inner = stack(times[::B], 2), stack(times[:B], 4)
     if used_fallback:
         outer = _expm_stack(1j * U * times[::B, None, None])[:, :2]
         inner = _expm_stack(1j * U * times[:B, None, None])
-    # blocks of whole table rows, then the short last row if B misses nt
-    full, last = divmod(nt, B)
-    per_block = max(1, CHUNK_POINTS // B)
-    blocks = [(q, min(q + per_block, full), B) for q in range(0, full, per_block)]
-    if last:
-        blocks.append((full, full + 1, last))
-    # O[a, j, q, 0] and I[a, c, 0, b], I contiguous along b
-    O = outer.transpose(2, 1, 0)[..., None]
-    I = np.ascontiguousarray(inner.transpose(1, 2, 0))[:, :, None, :]
-    rows = np.empty((4, 2, nt), dtype=complex)
-    for q0, q1, width in blocks:
-        # rows[c, j, qB + b] = sum_a O_q[j, a] I_b[a, c], summed in a fixed
-        # order with no BLAS call, so the blocking never changes a bit.  Each
-        # (c, j) block is a contiguous (q, b) view of rows, which numpy adds
-        # into in place without a copy of the block
-        for c, j in np.ndindex(4, 2):
-            span = rows[c, j, q0 * B:q0 * B + (q1 - q0) * width]
-            block = span.reshape(q1 - q0, width)
-            np.multiply(O[0, j, q0:q1], I[0, c, :, :width], out=block)
-            for a in range(1, 4):
-                block += O[a, j, q0:q1] * I[a, c, :, :width]
-    rows.flags.writeable = False
-    return PropagatorGrid(times, U, used_fallback, rows)
+    # the time index last, so that the forms read both stacks along it
+    outer = np.ascontiguousarray(outer.transpose(1, 2, 0))
+    inner = np.ascontiguousarray(inner.transpose(1, 2, 0))
+    products = outer.conj()[:, :, None] * outer[:, None]  # [j, m, n, q]
+    terms = np.empty((2, 4, 4, 2, outer.shape[-1]))  # [part, m, n, j, q]
+    terms[0] = products.real.transpose(1, 2, 0, 3)
+    np.negative(products.imag.transpose(1, 2, 0, 3), out=terms[1])
+    terms = terms.reshape(32, -1).T
+    for array in (outer, inner, terms):
+        array.flags.writeable = False
+    return PropagatorGrid(times, U, used_fallback, outer, inner, terms)
 
 
 def _expm_stack(M: np.ndarray) -> np.ndarray:
@@ -275,57 +292,27 @@ def _expm_stack(M: np.ndarray) -> np.ndarray:
     return E
 
 
-def _form(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Re(conj(x) W x^T) for every 4-vector x[:, ...], W Hermitian, as an
-    array of shape x.shape[1:].
-
-    Only the upper triangle of W is read.  The terms are summed
-    elementwise in a fixed order, skipping zero weights, with no BLAS
-    call: a zero weight adds an exact zero and each output depends only
-    on its own x, so the chunking never changes a bit.  (BLAS worker
-    threads exist at all only when numpy was imported before qduet or a
-    thread count was set.)
-    """
-    f = np.zeros(x.shape[1:])
-    # every term's scratch in one allocation, the product p and two real
-    # terms t: a fresh temporary per term would be mapped, or trimmed and
-    # faulted in again, on every call once a chunk passes glibc's 128 KiB
-    # mmap threshold
-    scratch = np.empty(4 * f.size)
-    p = scratch[:2 * f.size].view(complex).reshape(f.shape)
-    t = scratch[2 * f.size:].reshape((2,) + f.shape)
-    for a in range(4):
-        if W[a, a].real:
-            np.square(x[a].real, out=t[0])
-            np.square(x[a].imag, out=t[1])
-            t[0] += t[1]
-            t[0] *= W[a, a].real
-            f += t[0]
-        for b in range(a + 1, 4):
-            if W[a, b]:
-                np.conjugate(x[a], out=p)
-                p *= x[b]
-                # 2 Re(c p), doubling c instead of the sum (exact either way)
-                np.multiply(p.real, 2.0 * W[a, b].real, out=t[0])
-                if W[a, b].imag:
-                    np.multiply(p.imag, 2.0 * W[a, b].imag, out=t[1])
-                    t[0] -= t[1]
-                f += t[0]
-    return f
-
-
 def _player_forms(grid: PropagatorGrid, W: np.ndarray) -> np.ndarray:
     """(f_1^W, f_2^W) on the grid as a (2, nt) array; W Hermitian.
 
-    Only the upper triangle of W and the real part of its diagonal are
-    read.  f_j^W(t_k) is the form in the 4-vector grid.rows[:, j - 1, k],
-    evaluated in chunks of CHUNK_POINTS points, writing into one array
-    whose transpose is returned.
+    f_j^W(t_{qB+b}) = Re sum_mn conj(O_q[j, m]) O_q[j, n] M_b[m, n] with
+    M_b = conj(I_b) W I_b^T: one real product of grid.outer_terms by the
+    (32, B) matrix of Re M_b, then Im M_b, m-major.  The result is a view
+    of the first nt of the nq B table points.
     """
-    out = np.empty((len(grid.times), 2))
-    for k0 in range(0, len(grid.times), CHUNK_POINTS):
-        out[k0:k0 + CHUNK_POINTS] = _form(grid.rows[..., k0:k0 + CHUNK_POINTS], W).T
-    return out.T
+    I = grid.inner
+    # Y[n, c, b] = sum_d W[c, d] I_b[n, d], M[m, n, b] = sum_c conj(I_b[m, c]) Y[n, c, b]
+    Y = W[:, 0, None] * I[:, None, 0]
+    for d in range(1, 4):
+        Y += W[:, d, None] * I[:, None, d]
+    conj = I.conj()
+    M = conj[:, None, 0] * Y[None, :, 0]
+    for c in range(1, 4):
+        M += conj[:, None, c] * Y[None, :, c]
+    weights = np.empty((2,) + M.shape)
+    weights[0], weights[1] = M.real, M.imag
+    f = grid.outer_terms @ weights.reshape(32, -1)
+    return f.reshape(2, -1)[:, :len(grid.times)]
 
 
 def _gram(initial: InitialState) -> np.ndarray:
@@ -346,9 +333,10 @@ def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     """Interference part of both decision functions.
 
     dmu_j = f_j^{G - diag G}.  Every off-diagonal G_kl is a product of two
-    distinct amplitudes, so the result is identically zero for any
-    single-basis-vector initial state, and at t = 0, where V is the
-    identity, it is zero up to rounding.  Shape as in mu_player.
+    distinct amplitudes, so for any single-basis-vector initial state the
+    weight is exactly zero and so is the result, +0.0 throughout; at
+    t = 0, where V is the identity, it is zero up to rounding.  Shape as
+    in mu_player.
     """
     G = _gram(initial)
     return _player_forms(grid, G - np.diag(np.diag(G)))
@@ -415,6 +403,31 @@ def scenario_grid(s: Scenario) -> PropagatorGrid:
     return _context(s).grid
 
 
+def _assemble(s: Scenario, context: _Context) -> DecisionSeries:
+    """The run of s on its context's grid and nB, checked; nothing is kept."""
+    grid = context.grid
+    mu = mu_player(grid, s.initial).T
+    dmu = delta_mu(grid, s.initial).T
+    n = mu + dmu
+    n += context.nB
+
+    _, p1_1, _, p2_1 = born_probabilities(s.initial)
+    start_dev = max(abs(n[0, 0] - p1_1), abs(n[0, 1] - p2_1))
+    if start_dev > 1e-10:
+        raise NumericalError(
+            f"n(0) deviates from the Born marginals by {start_dev:.3g} "
+            f"(scenario {s.label!r})")
+    low, high = n.min(), n.max()
+    if low < -BOUND_TOL or high > 1.0 + BOUND_TOL:
+        raise NumericalError(
+            f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
+            f"range [{low:.6g}, {high:.6g}] (scenario {s.label!r})")
+    for values in (mu, dmu, n):
+        values.flags.writeable = False
+    return DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=context.nB,
+                          n=n, scenario=s)
+
+
 def decision_series(s: Scenario) -> DecisionSeries:
     """Run a scenario: propagate, assemble n_j = mu + dmu + nB.
 
@@ -439,28 +452,8 @@ def decision_series(s: Scenario) -> DecisionSeries:
     if last is not None and last.scenario.initial == s.initial:
         return replace(last, scenario=s)
     context.series = None  # release the old series before assembling the next
-    grid = context.grid
-    mu = mu_player(grid, s.initial).T
-    dmu = delta_mu(grid, s.initial).T
-    n = mu + dmu + context.nB
-
-    _, p1_1, _, p2_1 = born_probabilities(s.initial)
-    start_dev = max(abs(n[0, 0] - p1_1), abs(n[0, 1] - p2_1))
-    if start_dev > 1e-10:
-        raise NumericalError(
-            f"n(0) deviates from the Born marginals by {start_dev:.3g} "
-            f"(scenario {s.label!r})")
-    low, high = n.min(), n.max()
-    if low < -BOUND_TOL or high > 1.0 + BOUND_TOL:
-        raise NumericalError(
-            f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
-            f"range [{low:.6g}, {high:.6g}] (scenario {s.label!r})")
-    for values in (mu, dmu, n):
-        values.flags.writeable = False
-    series = DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=context.nB,
-                            n=n, scenario=s)
-    context.series = series
-    return series
+    context.series = _assemble(s, context)
+    return context.series
 
 
 def conditional_runs(s: Scenario) -> tuple[np.ndarray, ...]:
@@ -469,16 +462,15 @@ def conditional_runs(s: Scenario) -> tuple[np.ndarray, ...]:
     A tuple of read-only (nt, 2) arrays in basis order phi_00, phi_10,
     phi_01, phi_11, the conditional runs of the law of total
     probability.  They depend on s only through its run context, which
-    keeps them: the first call in a context runs each as a full
-    decision_series call, run-time checks included, labelled
-    "<label>|phi<k><l>"; later calls return the kept tuple.  A
-    NumericalError in any of them keeps none.
+    keeps them: the first call in a context assembles each as a full run,
+    run-time checks included, labelled "<label>|phi<k><l>", and keeps only
+    its n; the context's kept series stays in place.  Later calls return
+    the kept tuple.  A NumericalError in any of them keeps none.
     """
     context = _context(s)
     if context.conditional_n is None:
         context.conditional_n = tuple(
-            decision_series(replace(
-                s, initial=InitialState.basis_state(k, l),
-                label=f"{s.label}|phi{k}{l}")).n
+            _assemble(replace(s, initial=InitialState.basis_state(k, l),
+                              label=f"{s.label}|phi{k}{l}"), context).n
             for l in (0, 1) for k in (0, 1))
     return context.conditional_n

@@ -74,12 +74,12 @@ __all__ = [
 
 NORM_TOL = 1e-10
 GRID_RULE = 0.1
-# 2**22 grid points keep what a run holds within 839 MB
+# 2**22 grid points keep what a run holds within 302 MB
 MAX_GRID_POINTS = 2 ** 22
-# bytes a run keeps per grid point, at most: the time, the two float64
-# columns of each of mu, dmu, nB and n, and the grid's two player rows of
-# V (4 complex entries each), which both propagator routes build
-RUN_BYTES_PER_POINT = 8 + 4 * 16 + 2 * 4 * 16
+# bytes a run keeps per grid point, at most: the time and the two float64
+# columns of each of mu, dmu, nB and n.  The grid's factor stacks and
+# outer terms add about 896 sqrt(nt) bytes on either propagator route
+RUN_BYTES_PER_POINT = 8 + 4 * 16
 # relative tolerance on t_max / dt being a whole number of steps
 STEP_TOL = 1e-9
 # the diagonals of algebra's n1, n2: the basis states where player j plays 1

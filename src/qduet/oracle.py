@@ -17,11 +17,11 @@ whole production runs:
     non-Hermitian generator U; agreement of the two is a genuine
     cross-implementation test.
 
-  * propagator_residual: a central-difference check that the sampled
-    player rows of a grid solve dV/dt = V i U for the grid's own
-    generator U, with the expected second-order behavior in dt.  It walks
-    the grid in chunks of dynamics.CHUNK_POINTS points, so its scratch is
-    bounded whatever t_max is.
+  * propagator_residual: a central-difference check that the player rows
+    of a grid's V solve dV/dt = V i U for the grid's own generator U, with
+    the expected second-order behavior in dt.  It walks the grid in chunks
+    of dynamics.CHUNK_POINTS points of PropagatorGrid.player_rows, so its
+    scratch is bounded whatever t_max is.
 
   * ltp_residual: the decision functions compared against the classical
     law of total probability.  Four conditional simulations started from
@@ -101,15 +101,15 @@ def propagator_residual(grid: PropagatorGrid) -> float:
     """Max norm of the central-difference defect of dV/dt = V i U.
 
     V = exp(i U t) commutes with U = grid.generator, so its player rows obey
-    d/dt V_j = V_j i U; the defect is taken on the grid's rows at the
-    interior grid points, in chunks of dynamics.CHUNK_POINTS points, and
-    no (nt, 4, 4) array of V is formed.  Each point's defect depends only
-    on its own rows, so the chunking never changes the result.  Needs at
-    least 3 points.  The defect of the exact propagator sampled on the
-    grid is the Taylor remainder of the central difference, O(dt^2), so
+    d/dt V_j = V_j i U; the defect is taken at the interior grid points on
+    the rows grid.player_rows forms, in chunks of dynamics.CHUNK_POINTS
+    points, and no (nt, 4, 4) array of V is formed.  Each point's defect
+    depends only on its own rows, so the chunking never changes the result.
+    Needs at least 3 points.  The defect of the exact propagator sampled on
+    the grid is the Taylor remainder of the central difference, O(dt^2), so
     halving dt must shrink the result by about 4.
     """
-    times, rows = grid.times, grid.rows
+    times = grid.times
     nt = len(times)
     if nt < 3:
         raise ValueError("residual needs at least 3 grid points")
@@ -118,11 +118,25 @@ def propagator_residual(grid: PropagatorGrid) -> float:
     worst = 0.0
     for k0 in range(1, nt - 1, dynamics.CHUNK_POINTS):
         k1 = min(k0 + dynamics.CHUNK_POINTS, nt - 1)
-        defect = rows[..., k0 + 1:k1 + 1] - rows[..., k0 - 1:k1 - 1]
-        defect /= 2.0 * dt
-        defect -= np.einsum("ajt,ac->cjt", rows[..., k0:k1], iU)
-        worst = np.maximum(worst, np.abs(defect).max())  # a nan stays
+        worst = np.maximum(worst, _chunk_defect(grid, k0, k1, iU, dt))  # a nan stays
     return float(worst)
+
+
+def _chunk_defect(grid: PropagatorGrid, k0: int, k1: int, iU: np.ndarray,
+                  dt: float) -> float:
+    """Max norm of the defect at the grid points k0 <= k < k1.
+
+    The derivative term comes first and the central difference is added
+    into it, so the scratch is the rows of k0 - 1 to k1 and one array of
+    the same size, both released on return.
+    """
+    rows = grid.player_rows(k0 - 1, k1 + 1)
+    defect = np.einsum("jat,ac->jct", rows[..., 1:-1], iU)
+    defect *= -2.0 * dt
+    defect += rows[..., 2:]
+    defect -= rows[..., :-2]
+    defect /= 2.0 * dt
+    return np.abs(defect).max()
 
 
 def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +155,13 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     NumericalError there keeps none of them.
     """
     series = decision_series(s)
-    weights = np.abs(s.initial.amplitudes) ** 2
-    classical = np.zeros_like(series.n)
-    for w, n in zip(weights, conditional_runs(s)):
-        classical += w * n
-    return series.times, series.n - classical
+    R = None  # the classical prediction first, built in R's own buffer
+    for w, n in zip(np.abs(s.initial.amplitudes) ** 2, conditional_runs(s)):
+        if not w:
+            continue
+        if R is None:
+            R = w * n
+        else:
+            R += w * n
+    np.subtract(series.n, R, out=R)
+    return series.times, R

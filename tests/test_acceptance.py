@@ -71,7 +71,8 @@ def test_criterion_2_propagator():
     U = build_generator(s.params)
 
     grid = propagator(U, s.t_max, 1e-4)
-    rows = grid.rows.transpose(2, 1, 0)  # rows[k] = player rows of V(t_k)
+    # rows[k] = player rows of V(t_k)
+    rows = grid.player_rows(0, len(grid.times)).transpose(2, 0, 1)
     v0_dev = np.abs(rows[0] - np.eye(4)[:2]).max()
     semigroup = max(
         np.abs(rows[i] @ expm(1j * U * grid.times[j]) - rows[i + j]).max()

@@ -216,6 +216,34 @@ def test_noise_metric_empty_window():
         noise_metric(series, (3.0, 2.0))
 
 
+@pytest.mark.parametrize("window", [
+    (0.05, 0.25),          # starts and ends on grid points
+    (0.0503, 0.2507),      # starts and ends between points
+    (-1.0, 0.0405),        # reaches across the first point
+    (0.9, 2.0),            # reaches across the last point
+    (0.1234, 0.12341),     # between points with none inside
+    (0.5, 0.5),            # one point
+    (1.5, 2.0),            # past the last point
+    (math.nan, 0.5), (0.1, math.nan),
+])
+def test_noise_metric_equals_masked_std(window):
+    # the window cut by binary search against the std of a boolean mask,
+    # on a series whose columns differ; an empty window is a ValueError
+    times = make_times(1.0, 1e-3)
+    rng = np.random.default_rng(11)
+    series = synthetic(rng.uniform(0.0, 1.0, times.size),
+                       0.5 + 0.1 * np.sin(40.0 * times))
+    t_a, t_b = window
+    mask = (series.times >= t_a) & (series.times <= t_b)
+    if not mask.any():
+        with pytest.raises(ValueError, match="contains no grid points"):
+            noise_metric(series, window)
+        return
+    expected = series.n[mask].std(axis=0)
+    assert noise_metric(series, window) == pytest.approx(tuple(expected),
+                                                         rel=1e-12, abs=1e-15)
+
+
 def test_outcomes_invariant_under_global_phase():
     params = ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1, Omega2=0.1,
                          lambda1=0.5, lambda2=0.5, mu_ex=5.0, mu_coop=2.0)

@@ -75,13 +75,23 @@ SHORT = dataclasses.replace(PRESETS["fig6-left"], t_max=0.05, label="short")
 
 
 def as_rows(V):
-    """The (4, 2, nt) player-row layout of an (nt, 4, 4) stack of V."""
-    return V[:, :2].transpose(2, 1, 0)
+    """The (2, 4, nt) player-row layout of an (nt, 4, 4) stack of V."""
+    return V[:, :2].transpose(1, 2, 0)
+
+
+def stack_bytes(grid):
+    """The bytes of the grid's O(sqrt(nt)) arrays."""
+    return grid.outer.nbytes + grid.inner.nbytes + grid.outer_terms.nbytes
+
+
+def all_rows(grid):
+    """The grid's player rows at every point, as a (2, 4, nt) array."""
+    return grid.player_rows(0, len(grid.times))
 
 
 def player_rows(grid, i):
     """The grid's player rows of V(t_i) as a (2, 4) array."""
-    return grid.rows[:, :, i].T
+    return grid.player_rows(i, i + 1)[..., 0]
 
 
 def semigroup_deviation(U, grid, i, j):
@@ -106,8 +116,9 @@ def test_scenario_grid_is_shared_and_read_only():
         series.times[0] = 1.0
     with pytest.raises(ValueError):
         series.nB[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        grid.rows[0, 0, 0] = 0.0
+    for stack in (grid.outer, grid.inner, grid.outer_terms):
+        with pytest.raises(ValueError):
+            stack[(0,) * stack.ndim] = 0.0
 
 
 @pytest.mark.parametrize("change", [
@@ -121,7 +132,9 @@ def test_scenario_grid_rebuilds_for_a_new_key(change):
     grid = scenario_grid(s)
     fresh = propagator(build_generator(s.params), s.t_max, s.dt)
     assert grid.times.tobytes() == fresh.times.tobytes()
-    assert grid.rows.tobytes() == fresh.rows.tobytes()
+    assert grid.outer.tobytes() == fresh.outer.tobytes()
+    assert grid.inner.tobytes() == fresh.inner.tobytes()
+    assert grid.outer_terms.tobytes() == fresh.outer_terms.tobytes()
     assert grid.used_fallback == fresh.used_fallback
 
 
@@ -180,14 +193,14 @@ def test_propagator_free_case_diagonal_phases():
     expected = np.zeros((len(times), 4, 4), dtype=complex)
     for k, w in enumerate((-w1, -w2, w1, w2)):
         expected[:, k, k] = np.exp(1j * w * times)
-    assert np.abs(grid.rows - as_rows(expected)).max() <= 1e-12
+    assert np.abs(all_rows(grid) - as_rows(expected)).max() <= 1e-12
 
 
 def test_propagator_decoupled_damping_magnitude():
     params = make_params(lambda2=0.0)
     gamma1 = params.gamma1
     grid = propagator(build_generator(params), 1.0, 1e-3)
-    assert np.abs(np.abs(grid.rows[0, 0]) - np.exp(-gamma1 * grid.times)).max() <= 1e-12
+    assert np.abs(np.abs(all_rows(grid)[0, 0]) - np.exp(-gamma1 * grid.times)).max() <= 1e-12
 
 
 def test_propagator_semigroup_on_stiff_preset():
@@ -266,7 +279,7 @@ def test_propagator_fallback_on_defective_generator():
     times = grid.times
     assert grid.used_fallback
     expected = np.eye(4)[None, :, :] + 1j * U[None, :, :] * times[:, None, None]
-    assert np.abs(grid.rows - as_rows(expected)).max() <= 1e-12
+    assert np.abs(all_rows(grid) - as_rows(expected)).max() <= 1e-12
 
 
 def test_propagator_table_squares_large_steps():
@@ -279,7 +292,7 @@ def test_propagator_table_squares_large_steps():
     assert grid.used_fallback
     iUt = 1j * U[None, :, :] * times[:, None, None]
     expected = np.eye(4) + iUt + iUt @ iUt / 2.0
-    assert (np.abs(grid.rows - as_rows(expected)).max()
+    assert (np.abs(all_rows(grid) - as_rows(expected)).max()
             <= 1e-12 * np.abs(expected).max())
 
 
@@ -336,6 +349,8 @@ def gram(initial):
                      for m in (b1, b2, b1.conj().T, b2.conj().T)])
     return Bpsi.conj() @ Bpsi.T
 
+
+EPS = np.finfo(float).eps
 
 # a dense Hermitian weight with entries of order 1
 _X = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 4, 4))
@@ -413,8 +428,8 @@ def test_eigen_route_near_exceptional_point_meets_the_born_check(detune):
 
 
 def chunk_scenario(route):
-    # nt = 5001: neither 7 nor 1000 nor the default divides it, nor (on
-    # the table route, B = 71) any whole number of rows they round to
+    # nt = 5001: neither 7 nor 1000 nor the default divides it, nor any
+    # whole number of table rows of B = 71
     if route == "eigendecomposition":
         return PRESETS["fig6-right"]
     return make_scenario(exceptional_params(), InitialState(0.5j, -0.5j, 0.5, -0.5),
@@ -432,8 +447,9 @@ def test_chunk_length_changes_no_bit(route, monkeypatch):
         series = decision_series(s)
         grid = scenario_grid(s)
         assert grid.used_fallback == (route == "fallback")
-        # the oracle's defect walks the nt - 2 interior points in chunks
-        # too; a chunk of 7 leaves a one-point last chunk
+        # the chunk length bounds only the oracle's walk over the nt - 2
+        # interior points; a chunk of 7 leaves a one-point last chunk, and
+        # the forms, which take no chunks, must not move either
         runs.append([a.tobytes() for a in (series.mu, series.dmu, series.nB, series.n)]
                     + [propagator_residual(grid)])
     nt = len(series.times)
@@ -445,8 +461,9 @@ def test_chunk_length_changes_no_bit(route, monkeypatch):
 @pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
 def test_cold_run_peak_memory_stays_below_V(route):
     # V alone would take 256 B per grid point.  A run keeps at most
-    # RUN_BYTES_PER_POINT (the series, and the grid's player rows of V,
-    # built on either route), and peaks O(chunk) above that
+    # RUN_BYTES_PER_POINT (the times and the series) plus the grid's
+    # O(sqrt(nt)) stacks, on either route, and peaks one more series
+    # column pair above that
     if route == "eigendecomposition":
         s = dataclasses.replace(PRESETS["fig3-left"], t_max=5.0)
     else:
@@ -458,25 +475,106 @@ def test_cold_run_peak_memory_stays_below_V(route):
     finally:
         tracemalloc.stop()
     nt = len(series.times)
+    grid = scenario_grid(s)
     assert nt >= 50001
-    assert scenario_grid(s).used_fallback == (route == "fallback")
-    assert held <= RUN_BYTES_PER_POINT * nt + 2 ** 16
+    assert grid.used_fallback == (route == "fallback")
+    assert held <= RUN_BYTES_PER_POINT * nt + stack_bytes(grid) + 2 ** 16
     assert peak < 256 * nt
 
 
-def test_grid_builds_rows_once_and_holds_no_V():
-    for route in ("eigendecomposition", "fallback"):
-        s = dataclasses.replace(chunk_scenario(route), t_max=0.05)
+@pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
+def test_grid_bytes_grow_as_sqrt_nt(route):
+    # besides its times, a grid holds U, the outer and inner stacks and
+    # the outer terms, 128 + 512 bytes per table row and 256 per column:
+    # no array of nt points
+    base = chunk_scenario(route)
+    for scale in (1, 10, 40):  # nt = 5001, 50001 and 200001
+        s = dataclasses.replace(base, t_max=base.t_max * scale)
         grid = scenario_grid(s)
         assert grid.used_fallback == (route == "fallback")
-        rows = grid.rows
-        assert rows.shape == (4, 2, len(grid.times)) and not rows.flags.writeable
-        decision_series(s)
-        propagator_residual(grid)
-        assert scenario_grid(s) is grid and grid.rows is rows
-        assert set(vars(grid)) == {"times", "generator", "used_fallback", "rows"}
-        for value in vars(grid).values():
-            assert np.shape(value) != (len(grid.times), 4, 4)
+        nt = len(grid.times)
+        B = math.isqrt(nt - 1) + 1
+        assert grid.outer.shape == (2, 4, -(-nt // B))
+        assert grid.inner.shape == (4, 4, B)
+        assert grid.outer_terms.shape == (2 * -(-nt // B), 32)
+        assert set(vars(grid)) == {"times", "generator", "used_fallback",
+                                   "outer", "inner", "outer_terms"}
+        held = sum(np.asarray(value).nbytes for value in vars(grid).values())
+        assert held - grid.times.nbytes <= 896 * (math.isqrt(nt) + 2) + 256
+
+
+@pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
+def test_player_rows_do_not_depend_on_the_range(route):
+    # a point's rows are the same bits whichever chunk asks for them; the
+    # ranges start and end inside, on and across the table rows of B = 71
+    grid = scenario_grid(chunk_scenario(route))
+    nt = len(grid.times)
+    B = grid.inner.shape[-1]
+    rows = all_rows(grid)
+    assert rows.shape == (2, 4, nt)
+    for k0, k1 in ((0, 1), (5, 300), (B - 1, B + 1), (B, 2 * B), (3, 3),
+                   (nt - 3, nt), (nt - B - 7, nt)):
+        assert grid.player_rows(k0, k1).tobytes() == rows[..., k0:k1].tobytes()
+
+
+def elementwise_forms(grid, W):
+    """f_j^W at every grid point, term by term on the player rows."""
+    x = all_rows(grid)
+    return np.einsum("jck,cd,jdk->jk", x.conj(), W, x).real
+
+
+def ep_scenario(seed):
+    # the benchmark's exceptional point: equal inertias, Gamma = (2, 1),
+    # mu_ex = 1/2, equal weights with seeded relative phases
+    phases = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, 3)
+    alpha = 0.5 * np.exp(1j * np.concatenate([[0.0], phases]))
+    return make_scenario(exceptional_params(), InitialState.from_amplitudes(alpha),
+                         N1=0.0, N2=1.0, t_max=5.0, dt=1e-3, label=f"ep-{seed}")
+
+
+def near_exceptional_eigen_draws(count):
+    # seeded draws near an exceptional point that stay on the eigen route
+    rng = np.random.default_rng(5)
+    while count:
+        detune = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, -3.0)
+        g1, g2 = rng.uniform(0.05, 3.0, 2)
+        params = exceptional_params(detune, g1, g2, rng.uniform(-2.0, 2.0))
+        t_max = rng.uniform(0.5, 20.0)
+        if propagator(build_generator(params), t_max, t_max / 2000).used_fallback:
+            continue
+        count -= 1
+        yield make_scenario(params, InitialState(0.5j, -0.5j, 0.5, -0.5),
+                            t_max=t_max, dt=t_max / 2000, label=f"near-ep-{count}")
+
+
+FORM_CASES = ([(PRESETS[name], route) for name in sorted(PRESETS)
+               for route in ("eigendecomposition", "fallback")]
+              + [(ep_scenario(seed), "fallback") for seed in (1, 2, 3)]
+              + [(dataclasses.replace(PRESETS["fig3-left"], t_max=20.0,
+                                      label="fig3-left-t20"), "eigendecomposition")]
+              + [(s, "eigendecomposition") for s in near_exceptional_eigen_draws(6)])
+
+
+@pytest.mark.parametrize("s, route", FORM_CASES,
+                         ids=[f"{s.label}-{route}" for s, route in FORM_CASES])
+def test_product_forms_match_elementwise_forms(s, route, monkeypatch):
+    # the one-product forms against the definition summed term by term on
+    # the same grid's player rows: both round at eps times the size of the
+    # stacks' entries, which is cond(P) on the eigen route
+    if route == "fallback":
+        monkeypatch.setattr(dynamics, "COND_LIMIT", -1)
+    U = build_generator(s.params)
+    grid = propagator(U, s.t_max, s.dt)
+    assert grid.used_fallback == (route == "fallback")
+    scale = 1.0
+    if not grid.used_fallback:
+        scale = max(1.0, np.linalg.cond(np.linalg.eig(U)[1]))
+    G = gram(s.initial)
+    for forms, W in ((mu_player(grid, s.initial), np.diag(np.diag(G))),
+                     (delta_mu(grid, s.initial), G - np.diag(np.diag(G))),
+                     (dynamics._player_forms(grid, HERMITIAN), HERMITIAN)):
+        assert forms.shape == (2, len(grid.times))
+        assert np.abs(forms - elementwise_forms(grid, W)).max() <= 8 * EPS * scale
 
 
 def test_mu_player_identity_propagator():
@@ -499,9 +597,9 @@ def test_delta_mu_zero_for_basis_states():
     grid = propagator(build_generator(make_params(mu_ex=2.0, mu_coop=1.0)), 1.0, 1e-2)
     for l in (0, 1):
         for k in (0, 1):
-            d1, d2 = delta_mu(grid, InitialState.basis_state(k, l))
-            assert np.abs(d1).max() == 0.0
-            assert np.abs(d2).max() == 0.0
+            # a zero weight gives +0.0 at every point, not just a zero
+            dmu = delta_mu(grid, InitialState.basis_state(k, l))
+            assert np.all(dmu == 0.0) and not np.signbit(dmu).any()
 
 
 def test_delta_mu_zero_at_identity():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, empty_slots
-from test_dynamics import exceptional_params
+from test_dynamics import exceptional_params, stack_bytes
 import qduet.cli  # noqa: F401  (scanned for slots with the package)
 from qduet import dynamics
 from qduet.dynamics import (
@@ -21,6 +21,7 @@ from qduet.dynamics import (
     propagator,
 )
 from qduet.model import (
+    RUN_BYTES_PER_POINT,
     InitialState,
     ModelParams,
     PRESETS,
@@ -144,15 +145,17 @@ def test_propagator_residual_smooth_regime_bound():
                                       mu_ex=500.0, mu_coop=0.0))
     grid = propagator(U, 0.1, 1e-4)
     residual = propagator_residual(grid)
-    bound = 1e-5 * np.linalg.norm(U, 2) ** 2 * np.abs(grid.rows).max()
+    rows = grid.player_rows(0, len(grid.times))
+    bound = 1e-5 * np.linalg.norm(U, 2) ** 2 * np.abs(rows).max()
     assert residual <= bound
 
 
 def test_propagator_residual_keeps_no_V():
-    # V would take 256 B per grid point; the residual reads the grid's
-    # player rows (128 B per point), keeps nothing once it returns, peaks
-    # below two V-sized arrays, and walks the grid in chunks: its scratch
-    # is bounded by the chunk, not by nt, and is less than one V
+    # V would take 256 B per grid point; the residual forms the grid's
+    # player rows (128 B per point) a chunk at a time, keeps nothing once
+    # it returns, peaks below two V-sized arrays, and walks the grid in
+    # chunks: its scratch is bounded by the chunk, not by nt, and is less
+    # than one V
     U = build_generator(PRESETS["fig3-left"].params)
     grid = propagator(U, 5.0, PRESETS["fig3-left"].dt)
     nt = len(grid.times)
@@ -170,7 +173,7 @@ def test_propagator_residual_keeps_no_V():
 
 def test_propagator_residual_needs_three_points():
     grid = propagator(build_generator(closed_params()), 0.2, 0.1)
-    grid = dataclasses.replace(grid, times=grid.times[:2], rows=grid.rows[..., :2])
+    grid = dataclasses.replace(grid, times=grid.times[:2])
     with pytest.raises(ValueError):
         propagator_residual(grid)
 
@@ -319,7 +322,7 @@ def test_failed_conditional_run_keeps_nothing(monkeypatch):
     s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5))
     _, expected = ltp_residual(s)
     empty_slots()
-    decision_series(s)  # kept, so the first attempt fails in a conditional run
+    series = decision_series(s)  # kept, so the first attempt fails in a conditional run
     counts = count_calls(monkeypatch, "bath_contribution")
     assemblies = []
 
@@ -330,15 +333,47 @@ def test_failed_conditional_run_keeps_nothing(monkeypatch):
         return mu_player(*args)
 
     monkeypatch.setattr(dynamics, "mu_player", every_second_fails)
-    # attempt 1: phi00 assembles, phi10 fails; attempt 2: the run itself
-    # assembles again (the failed run dropped the kept series), phi00 fails
+    # each attempt: phi00 assembles, phi10 fails.  Conditional runs leave
+    # the kept series alone, so the run itself is never assembled again
     for attempt in (1, 2):
         with pytest.raises(NumericalError, match="injected failure"):
             ltp_residual(s)
         assert len(assemblies) == 2 * attempt
         context = _kept_context()
-        assert context.series is None and context.conditional_n is None
+        assert context.series is series and context.conditional_n is None
     assert counts["bath_contribution"] == 0  # nB stays kept
     monkeypatch.undo()
     _, R = ltp_residual(s)
     assert np.array_equal(R, expected)
+
+
+def test_run_stays_kept_through_its_ltp_residual(monkeypatch):
+    # the four conditional runs keep their n only, so the run asked for
+    # after its residual is the kept one, not a fifth assembly
+    s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5))
+    series = decision_series(s)
+    counts = count_calls(monkeypatch, "mu_player")
+    ltp_residual(s)
+    assert counts["mu_player"] == 4
+    again = decision_series(s)
+    assert counts["mu_player"] == 4
+    assert again.n is series.n and _kept_context().series.n is series.n
+
+
+@pytest.mark.parametrize("name", ["fig3-left", "fig6-right"])
+def test_cold_ltp_residual_memory_per_point(name):
+    # what a cold residual keeps: the run (RUN_BYTES_PER_POINT), the four
+    # conditional n and R, 5 * 16 B per point more; it peaks in the last
+    # conditional run, with 3 kept n and that run's mu, dmu and n
+    s = dataclasses.replace(PRESETS[name], t_max=5.0)
+    tracemalloc.start()
+    try:
+        times, R = ltp_residual(s)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nt = len(times)
+    assert nt == 50001
+    stacks = stack_bytes(dynamics.scenario_grid(s)) + 2 ** 16
+    assert held <= (RUN_BYTES_PER_POINT + 5 * 16) * nt + stacks
+    assert peak <= (RUN_BYTES_PER_POINT + 6 * 16) * nt + stacks
