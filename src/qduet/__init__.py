@@ -18,9 +18,11 @@ is left alone.
 import os
 import sys
 
-# The largest BLAS call here is a form's (2 nq x 32) by (32 x B) product,
-# under 1 ms on one thread at nt = 200001; an OpenBLAS worker pool split
-# it and took 6 to 8 ms on 2 cores, so the pool only costs CPU.  It
+# The BLAS calls here are small: a form's (2 nq x 16) by (16 x B) product,
+# under 1 ms on one thread at nt = 200001, the 16-vector product that
+# precedes it, and the law-of-total-probability prediction, a 4-vector
+# times a (4, 2 nt) matrix.  An OpenBLAS worker pool once split the form
+# product and took 6 to 8 ms on 2 cores, so the pool only costs CPU.  It
 # starts when the library loads, so the count must be in the environment
 # while numpy is imported; it is taken out again so that child processes
 # and later libraries keep their defaults.
@@ -48,6 +50,7 @@ from .dynamics import (
     PropagatorGrid,
     bath_contribution,
     conditional_runs,
+    conditional_stack,
     decision_series,
     delta_mu,
     make_times,
@@ -94,7 +97,7 @@ __all__ = [
     "PropagatorGrid", "DecisionSeries", "NumericalError",
     "make_times", "propagator", "mu_player", "delta_mu",
     "bath_contribution", "scenario_grid", "decision_series",
-    "conditional_runs",
+    "conditional_runs", "conditional_stack",
     "closed_hamiltonian", "exact_closed_evolution",
     "propagator_residual", "ltp_residual",
     "DecisionOutcome", "AsymptoticsReport",

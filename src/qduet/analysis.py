@@ -203,8 +203,11 @@ def noise_metric(series: DecisionSeries, window: tuple[float, float]) -> tuple[f
     """Standard deviation of each decision function over [t_a, t_b].
 
     The window is the grid points k with t_a <= times[k] <= t_b, cut from
-    the sorted times by two binary searches; each player's std is taken on
-    its own column of that slice.
+    the sorted times by two binary searches.  Both players' std come from
+    one reduction over the window's two rows, each contiguous: a run's n
+    keeps each player's values contiguous, and a series whose n is
+    C-ordered is copied to that layout first.  So each value has the bits
+    of the std of the player's own column.
     """
     t_a, t_b = window
     if t_b < t_a:
@@ -215,5 +218,8 @@ def noise_metric(series: DecisionSeries, window: tuple[float, float]) -> tuple[f
     # a nan bound sorts past every time: the last point must lie in the window
     if k0 >= k1 or not times[k1 - 1] <= t_b:
         raise ValueError(f"window [{t_a}, {t_b}] contains no grid points")
-    segment = series.n[k0:k1]
-    return float(segment[:, 0].std()), float(segment[:, 1].std())
+    rows = series.n[k0:k1].T
+    if rows.strides[1] != rows.itemsize:
+        rows = rows.copy()  # a C-ordered series: its columns as contiguous rows
+    std = rows.std(axis=1)
+    return float(std[0]), float(std[1])

@@ -40,16 +40,21 @@ splits over the two stacks,
     f_j^W(t_{qB+b}) = sum_mn conj(O_q[j, m]) O_q[j, n] M_b[m, n],
     M_b = conj(I_b) W I_b^T,
 
-and both factors are Hermitian in (m, n), so f is the real part of a
-32-term sum: the real and the negated imaginary parts of the outer
-products conj(O_q[j, m]) O_q[j, n] against the real and imaginary parts
-of M_b.  The outer products depend on the grid alone, so the grid keeps
-them too, as a (2 nq, 32) real matrix; a form builds the (32, B) matrix
-of its M_b, and one real matrix product of the two gives f at all
-nq B >= nt table points at once, the first nt being the grid's.  That
-product is the only BLAS call an assembly makes; each output depends
-only on its own q and b, so it needs no chunking.  The two routes differ
-only in where the stacks come from:
+and both factors are Hermitian in (m, n).  A Hermitian 4x4 matrix is
+16 real parameters, Re X_mm, then Re X_mn and Im X_mn for m < n, and the
+sum is real: Re X_mm Y_mm + 2 (Re X_mn Re Y_mn - Im X_mn Im Y_mn) over
+the parameters of the two factors.  The outer products
+conj(O_q[j, m]) O_q[j, n] depend on the grid alone, so the grid keeps
+their scaled parameters, as a (2 nq, 16) real matrix.  M_b is real-linear
+in the parameters of W, with coefficients fixed by the grid, which keeps
+them as well, as the (16, 16 B) real matrix of inner terms.  A form is
+then two products: the parameters of W times the inner terms give the
+(16, B) parameters of every M_b at once, and one real matrix product of
+the outer terms by those gives f at all nq B >= nt table points at once,
+the first nt being the grid's.  Those two products are the only BLAS
+calls an assembly makes; each output depends only on its own q and b, so
+they need no chunking.  The two routes differ only in where the stacks
+come from:
 
   * Eigendecomposition: U = P diag(w) P^-1, so both stacks are the true
     propagators (P diag(phi(t))) P^-1 with the phase vector
@@ -78,16 +83,17 @@ its four law-of-total-probability conditional runs and a sweep over
 initial states.  They share one run context, and one slot keeps the
 last context, keyed on (params, t_max, dt, reservoir).  Its record holds
 
-  * the propagator grid, with read-only times, factor stacks and outer
+  * the propagator grid, with read-only times, factor stacks and their
     terms, from scenario_grid;
   * the read-only nB, from one bath_contribution call when the context
     is built, so that a run assembles only its mu and dmu forms;
   * the last series decision_series assembled, returned again (under the
     caller's scenario, and so the caller's label) for the same initial
     state;
-  * once conditional_runs asks for them, the read-only n of the four
-    runs started from the sharp basis states.  They are assembled beside
-    the kept series and leave it in place.
+  * once conditional_stack asks for them, the read-only n of the four
+    runs started from the sharp basis states, as one (4, 2, nt) array.
+    Each run is assembled straight into its slot, beside the kept series,
+    which stays in place.
 
 The slot is emptied before a different context is built, so at most one
 record is held, and it stays in memory after a run.  A run that fails
@@ -123,6 +129,7 @@ __all__ = [
     "bath_contribution",
     "scenario_grid",
     "decision_series",
+    "conditional_stack",
     "conditional_runs",
 ]
 
@@ -135,6 +142,11 @@ CHUNK_POINTS = 16384
 # B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
 _b1, _b2 = build_mode_operators()
 _MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])
+_DIAGONAL = np.eye(4, dtype=bool)
+_UPPER = np.triu_indices(4, 1)
+# Re sum_mn X_mn Y_mn = sum_r s_r x_r y_r over the parameters x, y of two
+# Hermitian X, Y: each pair m < n stands for (m, n) and (n, m)
+_TERM_SCALE = np.repeat([1.0, 2.0, -2.0], [4, 6, 6])
 
 # the record of the last run context, under its key; at most one entry
 _context_slot: dict = {}
@@ -153,10 +165,15 @@ class PropagatorGrid:
     and the grid keeps the two read-only stacks with the time index last:
     outer[..., q] = V(t_qB)[:2] for q < nq, a (2, 4, nq) complex array, and
     inner[..., b] = V(t_b) for b < B, a (4, 4, B) one.  outer_terms is the
-    left factor every form shares, the read-only (2 nq, 32) real matrix
-    whose row (j, q) holds Re, then -Im, of conj(O_q[j, m]) O_q[j, n],
-    m-major.  used_fallback is True when the stacks came from the
-    scaling-and-squaring exponential instead of the eigendecomposition.
+    left factor every form shares, the read-only (2 nq, 16) real matrix
+    whose row (j, q) holds the Hermitian parameters of
+    conj(O_q[j, m]) O_q[j, n], scaled by _TERM_SCALE.  inner_terms maps
+    the parameters of a Hermitian weight W to those of every
+    M_b = conj(I_b) W I_b^T: the read-only (16, 16 B) real matrix with
+    rows over W's parameters and columns over (M_b's parameter, b), 2048
+    bytes per inner matrix.  used_fallback is True when the stacks came
+    from the scaling-and-squaring exponential instead of the
+    eigendecomposition.
     """
 
     times: np.ndarray
@@ -165,6 +182,7 @@ class PropagatorGrid:
     outer: np.ndarray
     inner: np.ndarray
     outer_terms: np.ndarray
+    inner_terms: np.ndarray
 
     def player_rows(self, k0: int, k1: int) -> np.ndarray:
         """V(t_k)[:2] for k0 <= k < k1 as a (2, 4, k1 - k0) array.
@@ -234,8 +252,9 @@ def propagator(U: np.ndarray, t_max: float, dt: float) -> PropagatorGrid:
     stacks from _expm_stack; it runs when P is ill-conditioned
     (cond > 1e8, U nearly defective) or when P P^-1 misses the identity by
     more than 1e-12.  The grid keeps its times, a copy of U, the stacks
-    and the outer stack's products, outer_terms, all read-only.  A
-    (t_max, dt) that breaks grid_steps' rule is a ScenarioError.
+    and their terms, outer_terms and inner_terms, each built once by
+    broadcast products, all read-only.  A (t_max, dt) that breaks
+    grid_steps' rule is a ScenarioError.
     """
     U = np.array(U, dtype=complex)
     if not np.all(np.isfinite(U)):
@@ -264,14 +283,22 @@ def propagator(U: np.ndarray, t_max: float, dt: float) -> PropagatorGrid:
     # the time index last, so that the forms read both stacks along it
     outer = np.ascontiguousarray(outer.transpose(1, 2, 0))
     inner = np.ascontiguousarray(inner.transpose(1, 2, 0))
-    products = outer.conj()[:, :, None] * outer[:, None]  # [j, m, n, q]
-    terms = np.empty((2, 4, 4, 2, outer.shape[-1]))  # [part, m, n, j, q]
-    terms[0] = products.real.transpose(1, 2, 0, 3)
-    np.negative(products.imag.transpose(1, 2, 0, 3), out=terms[1])
-    terms = terms.reshape(32, -1).T
-    for array in (outer, inner, terms):
+    O = outer.transpose(1, 0, 2)  # [m, j, q]
+    terms = _hermitian_params(O.conj()[:, None] * O[None])  # [r, j, q]
+    terms *= _TERM_SCALE[:, None, None]
+    terms = terms.reshape(16, -1).T
+    # M_b of E_cd, the matrix unit, is conj(I_b[m, c]) I_b[n, d]; W's
+    # parameters weigh E_cc, then E_cd + E_dc and i (E_cd - E_dc) for c < d
+    I = inner.transpose(1, 0, 2)  # [c, m, b]
+    K = I.conj()[:, None, :, None] * I[None, :, None]  # [c, d, m, n, b]
+    c, d = _UPPER
+    K = np.concatenate([K[_DIAGONAL], K[c, d] + K[d, c],
+                        1j * (K[c, d] - K[d, c])])  # [p, m, n, b]
+    inner_terms = _hermitian_params(K.transpose(1, 2, 0, 3))  # [r, p, b]
+    inner_terms = inner_terms.transpose(1, 0, 2).reshape(16, -1)
+    for array in (outer, inner, terms, inner_terms):
         array.flags.writeable = False
-    return PropagatorGrid(times, U, used_fallback, outer, inner, terms)
+    return PropagatorGrid(times, U, used_fallback, outer, inner, terms, inner_terms)
 
 
 def _expm_stack(M: np.ndarray) -> np.ndarray:
@@ -292,26 +319,24 @@ def _expm_stack(M: np.ndarray) -> np.ndarray:
     return E
 
 
+def _hermitian_params(X: np.ndarray) -> np.ndarray:
+    """The 16 real parameters of Hermitian X[m, n, ...] along a new first
+    axis: Re X_mm, then Re X_mn and Im X_mn for m < n."""
+    m, n = _UPPER
+    return np.concatenate([X[_DIAGONAL].real, X[m, n].real, X[m, n].imag])
+
+
 def _player_forms(grid: PropagatorGrid, W: np.ndarray) -> np.ndarray:
     """(f_1^W, f_2^W) on the grid as a (2, nt) array; W Hermitian.
 
     f_j^W(t_{qB+b}) = Re sum_mn conj(O_q[j, m]) O_q[j, n] M_b[m, n] with
-    M_b = conj(I_b) W I_b^T: one real product of grid.outer_terms by the
-    (32, B) matrix of Re M_b, then Im M_b, m-major.  The result is a view
-    of the first nt of the nq B table points.
+    M_b = conj(I_b) W I_b^T.  The 16 parameters of every M_b come from one
+    vector-matrix product, W's parameters times grid.inner_terms, and one
+    real product of grid.outer_terms by those, as a (16, B) matrix, gives
+    f.  The result is a view of the first nt of the nq B table points.
     """
-    I = grid.inner
-    # Y[n, c, b] = sum_d W[c, d] I_b[n, d], M[m, n, b] = sum_c conj(I_b[m, c]) Y[n, c, b]
-    Y = W[:, 0, None] * I[:, None, 0]
-    for d in range(1, 4):
-        Y += W[:, d, None] * I[:, None, d]
-    conj = I.conj()
-    M = conj[:, None, 0] * Y[None, :, 0]
-    for c in range(1, 4):
-        M += conj[:, None, c] * Y[None, :, c]
-    weights = np.empty((2,) + M.shape)
-    weights[0], weights[1] = M.real, M.imag
-    f = grid.outer_terms @ weights.reshape(32, -1)
+    weights = _hermitian_params(W) @ grid.inner_terms
+    f = grid.outer_terms @ weights.reshape(16, -1)
     return f.reshape(2, -1)[:, :len(grid.times)]
 
 
@@ -326,7 +351,7 @@ def mu_player(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     mu_j = f_j^{diag G} on the grid, returned as a (2, nt) array whose
     rows are mu1 and mu2.
     """
-    return _player_forms(grid, np.diag(np.diag(_gram(initial))))
+    return _player_forms(grid, np.where(_DIAGONAL, _gram(initial), 0))
 
 
 def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
@@ -338,8 +363,7 @@ def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     t = 0, where V is the identity, it is zero up to rounding.  Shape as
     in mu_player.
     """
-    G = _gram(initial)
-    return _player_forms(grid, G - np.diag(np.diag(G)))
+    return _player_forms(grid, np.where(_DIAGONAL, 0, _gram(initial)))
 
 
 def bath_contribution(reservoir: ReservoirState, params: ModelParams,
@@ -374,7 +398,7 @@ class _Context:
     grid: PropagatorGrid
     nB: np.ndarray
     series: DecisionSeries | None = None
-    conditional_n: tuple[np.ndarray, ...] | None = None
+    conditional_n: np.ndarray | None = None
 
 
 def _context(s: Scenario) -> _Context:
@@ -403,14 +427,8 @@ def scenario_grid(s: Scenario) -> PropagatorGrid:
     return _context(s).grid
 
 
-def _assemble(s: Scenario, context: _Context) -> DecisionSeries:
-    """The run of s on its context's grid and nB, checked; nothing is kept."""
-    grid = context.grid
-    mu = mu_player(grid, s.initial).T
-    dmu = delta_mu(grid, s.initial).T
-    n = mu + dmu
-    n += context.nB
-
+def _check(s: Scenario, n: np.ndarray) -> None:
+    """The run-time checks of the n of a run of s; NumericalError on failure."""
     _, p1_1, _, p2_1 = born_probabilities(s.initial)
     start_dev = max(abs(n[0, 0] - p1_1), abs(n[0, 1] - p2_1))
     if start_dev > 1e-10:
@@ -422,10 +440,32 @@ def _assemble(s: Scenario, context: _Context) -> DecisionSeries:
         raise NumericalError(
             f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
             f"range [{low:.6g}, {high:.6g}] (scenario {s.label!r})")
+
+
+def _assemble(s: Scenario, context: _Context) -> DecisionSeries:
+    """The run of s on its context's grid and nB, checked; nothing is kept."""
+    grid = context.grid
+    mu = mu_player(grid, s.initial).T
+    dmu = delta_mu(grid, s.initial).T
+    n = mu + dmu
+    n += context.nB
+    _check(s, n)
     for values in (mu, dmu, n):
         values.flags.writeable = False
     return DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=context.nB,
                           n=n, scenario=s)
+
+
+def _assemble_n(s: Scenario, context: _Context, out: np.ndarray) -> None:
+    """The n of the run of s written into the (nt, 2) array out, checked.
+
+    The same sums as _assemble, but mu is released before dmu is formed,
+    since only n is kept.
+    """
+    out[...] = mu_player(context.grid, s.initial).T
+    out += delta_mu(context.grid, s.initial).T
+    out += context.nB
+    _check(s, out)
 
 
 def decision_series(s: Scenario) -> DecisionSeries:
@@ -456,21 +496,33 @@ def decision_series(s: Scenario) -> DecisionSeries:
     return context.series
 
 
-def conditional_runs(s: Scenario) -> tuple[np.ndarray, ...]:
+def conditional_stack(s: Scenario) -> np.ndarray:
     """n of the four runs of s's context started from sharp basis states.
 
-    A tuple of read-only (nt, 2) arrays in basis order phi_00, phi_10,
-    phi_01, phi_11, the conditional runs of the law of total
-    probability.  They depend on s only through its run context, which
-    keeps them: the first call in a context assembles each as a full run,
-    run-time checks included, labelled "<label>|phi<k><l>", and keeps only
-    its n; the context's kept series stays in place.  Later calls return
-    the kept tuple.  A NumericalError in any of them keeps none.
+    One read-only (4, 2, nt) array in basis order phi_00, phi_10, phi_01,
+    phi_11, the conditional runs of the law of total probability, with
+    [k].T the (nt, 2) n of run k, each player's values contiguous as in a
+    run's n.  It depends on s only through its run context, which keeps
+    it: the first call in a context assembles each run in full, run-time
+    checks included, labelled "<label>|phi<k><l>", straight into its slot,
+    and keeps only its n; the context's kept series stays in place.  Later
+    calls return the kept array.  A NumericalError in any run keeps none.
     """
     context = _context(s)
     if context.conditional_n is None:
-        context.conditional_n = tuple(
-            _assemble(replace(s, initial=InitialState.basis_state(k, l),
-                              label=f"{s.label}|phi{k}{l}"), context).n
-            for l in (0, 1) for k in (0, 1))
+        stack = np.empty((4, 2, len(context.grid.times)))
+        for slot, (k, l) in zip(stack, ((0, 0), (1, 0), (0, 1), (1, 1))):
+            _assemble_n(replace(s, initial=InitialState.basis_state(k, l),
+                                label=f"{s.label}|phi{k}{l}"), context, slot.T)
+        stack.flags.writeable = False
+        context.conditional_n = stack
     return context.conditional_n
+
+
+def conditional_runs(s: Scenario) -> tuple[np.ndarray, ...]:
+    """The four conditional n of conditional_stack(s) as (nt, 2) views.
+
+    A tuple of read-only views in basis order phi_00, phi_10, phi_01,
+    phi_11, one per row of the kept (4, 2, nt) array.
+    """
+    return tuple(n.T for n in conditional_stack(s))

@@ -78,7 +78,7 @@ GRID_RULE = 0.1
 MAX_GRID_POINTS = 2 ** 22
 # bytes a run keeps per grid point, at most: the time and the two float64
 # columns of each of mu, dmu, nB and n.  The grid's factor stacks and
-# outer terms add about 896 sqrt(nt) bytes on either propagator route
+# their terms add about 2688 sqrt(nt) bytes on either propagator route
 RUN_BYTES_PER_POINT = 8 + 4 * 16
 # relative tolerance on t_max / dt being a whole number of steps
 STEP_TOL = 1e-9

@@ -32,13 +32,13 @@ whole production runs:
     bath part does not depend on the initial player state at all, so the
     residual isolates exactly the interference part dmu_j; the comparison
     is still run through the four conditional simulations, not through
-    that identity.  Each of the five runs is a full decision_series call
-    (mu, dmu, run-time checks, and the bath part of their shared run
-    context), so R never reads dmu.  The conditional runs come from
-    dynamics.conditional_runs, which keeps their n in the run context of
-    (params, t_max, dt, reservoir): a sweep over initial states, or a
-    second scenario that differs only in its initial state, runs them
-    once.
+    that identity.  Each of the five runs is assembled in full (mu, dmu,
+    run-time checks, and the bath part of their shared run context), so R
+    never reads dmu.  The conditional runs come from
+    dynamics.conditional_stack, which keeps their n as one array in the
+    run context of (params, t_max, dt, reservoir): a sweep over initial
+    states, or a second scenario that differs only in its initial state,
+    runs them once.
 
 Matrix residuals use the maximum absolute entry as the norm, which is
 cheap and adequate for fixed 4x4 operators.
@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra, dynamics
-from .dynamics import PropagatorGrid, conditional_runs, decision_series
+from .dynamics import PropagatorGrid, conditional_stack, decision_series
 from .model import _N_DIAG, InitialState, ModelParams, Scenario
 
 __all__ = [
@@ -149,19 +149,15 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     The residual vanishes identically for basis-state initial conditions
     and reproduces the interference part dmu_j for superpositions.
 
-    The conditional runs' n comes from dynamics.conditional_runs(s): the
-    first time s's run context asks for it, each conditional run is a
-    full decision_series call with its run-time checks, and a
-    NumericalError there keeps none of them.
+    The conditional runs' n comes from dynamics.conditional_stack(s), a
+    (4, 2, nt) array: the first time s's run context asks for it, each
+    conditional run is assembled in full with its run-time checks, and a
+    NumericalError there keeps none of them.  The classical prediction is
+    one product of the weights |alpha_km|^2 with that array, laid out as
+    the run's n, and R is n minus it, in the prediction's own buffer.
     """
     series = decision_series(s)
-    R = None  # the classical prediction first, built in R's own buffer
-    for w, n in zip(np.abs(s.initial.amplitudes) ** 2, conditional_runs(s)):
-        if not w:
-            continue
-        if R is None:
-            R = w * n
-        else:
-            R += w * n
+    weights = np.abs(s.initial.amplitudes) ** 2
+    R = (weights @ conditional_stack(s).reshape(4, -1)).reshape(2, -1).T
     np.subtract(series.n, R, out=R)
     return series.times, R

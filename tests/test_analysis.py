@@ -1,5 +1,6 @@
 """Decision analysis: odds, decision time, asymptotics, noise."""
 
+import dataclasses
 import math
 import time
 
@@ -15,8 +16,10 @@ from qduet.analysis import (
     noise_metric,
     odds,
 )
+from qduet.cli import read_csv, write_csv
 from qduet.dynamics import DecisionSeries, decision_series, make_times
 from qduet.model import (
+    PRESETS,
     InitialState,
     ModelParams,
     ReservoirState,
@@ -242,6 +245,28 @@ def test_noise_metric_equals_masked_std(window):
     expected = series.n[mask].std(axis=0)
     assert noise_metric(series, window) == pytest.approx(tuple(expected),
                                                          rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("source", ["run", "read_csv", "C-ordered"])
+def test_noise_metric_matches_per_column_std_bits(source, tmp_path):
+    # both players in one reduction over the window's contiguous rows give
+    # the bits of each column's own std, on a run's series, on the series
+    # read back from its table and on a C-ordered (nt, 2) series
+    series = decision_series(PRESETS["fig1-right"])
+    if source == "read_csv":
+        write_csv(tmp_path / "run.csv", series)
+        series = read_csv(tmp_path / "run.csv")
+    elif source == "C-ordered":
+        series = dataclasses.replace(series, n=np.ascontiguousarray(series.n))
+        assert series.n.flags.c_contiguous
+    times = series.times
+    rng = np.random.default_rng(22)
+    windows = [(0.05, 0.25), (0.0, times[-1])] + [
+        tuple(sorted(rng.uniform(0.0, times[-1], 2))) for _ in range(40)]
+    for window in windows:
+        k = np.flatnonzero((times >= window[0]) & (times <= window[1]))
+        expected = tuple(float(series.n[k[0]:k[-1] + 1, j].std()) for j in (0, 1))
+        assert noise_metric(series, window) == expected
 
 
 def test_outcomes_invariant_under_global_phase():

@@ -81,7 +81,8 @@ def as_rows(V):
 
 def stack_bytes(grid):
     """The bytes of the grid's O(sqrt(nt)) arrays."""
-    return grid.outer.nbytes + grid.inner.nbytes + grid.outer_terms.nbytes
+    return (grid.outer.nbytes + grid.inner.nbytes + grid.outer_terms.nbytes
+            + grid.inner_terms.nbytes)
 
 
 def all_rows(grid):
@@ -116,7 +117,7 @@ def test_scenario_grid_is_shared_and_read_only():
         series.times[0] = 1.0
     with pytest.raises(ValueError):
         series.nB[0, 0] = 1.0
-    for stack in (grid.outer, grid.inner, grid.outer_terms):
+    for stack in (grid.outer, grid.inner, grid.outer_terms, grid.inner_terms):
         with pytest.raises(ValueError):
             stack[(0,) * stack.ndim] = 0.0
 
@@ -135,6 +136,7 @@ def test_scenario_grid_rebuilds_for_a_new_key(change):
     assert grid.outer.tobytes() == fresh.outer.tobytes()
     assert grid.inner.tobytes() == fresh.inner.tobytes()
     assert grid.outer_terms.tobytes() == fresh.outer_terms.tobytes()
+    assert grid.inner_terms.tobytes() == fresh.inner_terms.tobytes()
     assert grid.used_fallback == fresh.used_fallback
 
 
@@ -485,8 +487,8 @@ def test_cold_run_peak_memory_stays_below_V(route):
 @pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
 def test_grid_bytes_grow_as_sqrt_nt(route):
     # besides its times, a grid holds U, the outer and inner stacks and
-    # the outer terms, 128 + 512 bytes per table row and 256 per column:
-    # no array of nt points
+    # their terms, 128 + 256 bytes per table row and 256 + 2048 per
+    # column: no array of nt points
     base = chunk_scenario(route)
     for scale in (1, 10, 40):  # nt = 5001, 50001 and 200001
         s = dataclasses.replace(base, t_max=base.t_max * scale)
@@ -496,11 +498,13 @@ def test_grid_bytes_grow_as_sqrt_nt(route):
         B = math.isqrt(nt - 1) + 1
         assert grid.outer.shape == (2, 4, -(-nt // B))
         assert grid.inner.shape == (4, 4, B)
-        assert grid.outer_terms.shape == (2 * -(-nt // B), 32)
+        assert grid.outer_terms.shape == (2 * -(-nt // B), 16)
+        assert grid.inner_terms.shape == (16, 16 * B)
+        assert grid.inner_terms.dtype == float
         assert set(vars(grid)) == {"times", "generator", "used_fallback",
-                                   "outer", "inner", "outer_terms"}
+                                   "outer", "inner", "outer_terms", "inner_terms"}
         held = sum(np.asarray(value).nbytes for value in vars(grid).values())
-        assert held - grid.times.nbytes <= 896 * (math.isqrt(nt) + 2) + 256
+        assert held - grid.times.nbytes <= 2688 * (math.isqrt(nt) + 2) + 256
 
 
 @pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])

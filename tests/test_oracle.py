@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, empty_slots
-from test_dynamics import exceptional_params, stack_bytes
+from test_dynamics import EPS, ep_scenario, exceptional_params, stack_bytes
 import qduet.cli  # noqa: F401  (scanned for slots with the package)
 from qduet import dynamics
 from qduet.dynamics import (
@@ -190,7 +190,49 @@ def test_ltp_residual_vanishes_for_basis_states():
         for k in (0, 1):
             s = base_scenario(InitialState.basis_state(k, l), label=f"basis{k}{l}")
             _, R = ltp_residual(s)
-            assert np.abs(R).max() <= 1e-12
+            # the run and its own conditional run are the same bits
+            assert not R.any()
+
+
+LTP_CASES = [PRESETS[name] for name in sorted(PRESETS)] + [ep_scenario(seed)
+                                                          for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("s", LTP_CASES, ids=[s.label for s in LTP_CASES])
+def test_ltp_residual_is_the_classical_mix_subtracted(s):
+    # the one-product prediction against the sum written out term by term
+    _, R = ltp_residual(s)
+    expected = decision_series(s).n.copy()
+    weights = np.abs(s.initial.amplitudes) ** 2
+    for w, n in zip(weights, dynamics.conditional_runs(s)):
+        expected -= w * n
+    assert np.abs(R - expected).max() <= 4 * EPS
+
+
+def test_conditional_runs_are_views_of_one_kept_array(monkeypatch):
+    # four read-only (nt, 2) views of one (4, 2, nt) array, in the memory
+    # order of a run's n, each the bits of the full run from its basis state
+    s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5))
+    series = decision_series(s)
+    counts = count_calls(monkeypatch, "mu_player", "delta_mu")
+    runs = dynamics.conditional_runs(s)
+    stack = _kept_context().conditional_n
+    nt = len(series.times)
+    assert counts == {"mu_player": 4, "delta_mu": 4}
+    assert stack.shape == (4, 2, nt) and stack.flags.c_contiguous
+    assert not stack.flags.writeable
+    assert dynamics.conditional_stack(s) is stack
+    assert len(runs) == 4
+    for n in runs + dynamics.conditional_runs(s):
+        assert n.base is stack and not n.flags.writeable
+        assert n.shape == (nt, 2) and n.strides == series.n.strides
+    assert counts == {"mu_player": 4, "delta_mu": 4}
+    monkeypatch.undo()
+    bases = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for n, (k, l) in zip(runs, bases):
+        run = decision_series(dataclasses.replace(
+            s, initial=InitialState.basis_state(k, l)))
+        assert n.tobytes() == run.n.tobytes()
 
 
 def test_ltp_residual_equals_interference_part():
@@ -363,8 +405,9 @@ def test_run_stays_kept_through_its_ltp_residual(monkeypatch):
 @pytest.mark.parametrize("name", ["fig3-left", "fig6-right"])
 def test_cold_ltp_residual_memory_per_point(name):
     # what a cold residual keeps: the run (RUN_BYTES_PER_POINT), the four
-    # conditional n and R, 5 * 16 B per point more; it peaks in the last
-    # conditional run, with 3 kept n and that run's mu, dmu and n
+    # conditional n and R, 5 * 16 B per point more; a conditional run
+    # forms its mu and then its dmu beside the four slots, so the peak
+    # stays within one more series column pair
     s = dataclasses.replace(PRESETS[name], t_max=5.0)
     tracemalloc.start()
     try:
