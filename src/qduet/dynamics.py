@@ -71,10 +71,8 @@ come from:
 U is not normal once damping and couplings compete, so P can be
 ill-conditioned near parameter points where eigenvalues coalesce; the
 table runs instead when cond(P) exceeds 1e8 or when P P^-1 misses the
-identity by more than 1e-12.  The player rows of V themselves are formed
-only on request, a chunk of grid points at a time, by
-PropagatorGrid.player_rows; the oracle's defect walks them in chunks of
-CHUNK_POINTS points.
+identity by more than 1e-12.  No player row of V is ever formed: the
+forms read the two stacks, and so does the oracle's semigroup defect.
 
 A Scenario is valid by construction, so nothing here validates it
 again.  Runs in one information environment, that is with the same
@@ -136,8 +134,6 @@ __all__ = [
 COND_LIMIT = 1e8
 IDENTITY_TOL = 1e-12
 BOUND_TOL = 1e-8
-# grid points per chunk of player rows in oracle.propagator_residual's walk
-CHUNK_POINTS = 16384
 
 # B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
 _b1, _b2 = build_mode_operators()
@@ -173,7 +169,9 @@ class PropagatorGrid:
     rows over W's parameters and columns over (M_b's parameter, b), 2048
     bytes per inner matrix.  used_fallback is True when the stacks came
     from the scaling-and-squaring exponential instead of the
-    eigendecomposition.
+    eigendecomposition.  The player rows of V(t_{qB+b}) are
+    outer[..., q] @ inner[..., b]; nothing in the package multiplies them
+    out, and oracle.propagator_residual checks the two stacks themselves.
     """
 
     times: np.ndarray
@@ -183,23 +181,6 @@ class PropagatorGrid:
     inner: np.ndarray
     outer_terms: np.ndarray
     inner_terms: np.ndarray
-
-    def player_rows(self, k0: int, k1: int) -> np.ndarray:
-        """V(t_k)[:2] for k0 <= k < k1 as a (2, 4, k1 - k0) array.
-
-        Row j of V(t_{qB+b}) is sum_a outer[j, a, q] inner[a, :, b], summed
-        in a fixed order with no BLAS call, so the bits of a point do not
-        depend on the range asked for.  The scratch is two arrays of
-        128 bytes per point over the whole table rows the range touches.
-        """
-        B = self.inner.shape[-1]
-        q0, q1 = k0 // B, -(-k1 // B)
-        O = self.outer[:, :, None, q0:q1, None]  # [j, a, ., q, .]
-        I = self.inner[None, :, :, None, :]      # [., a, c, ., b]
-        rows = O[:, 0] * I[:, 0]
-        for a in range(1, 4):
-            rows += O[:, a] * I[:, a]
-        return rows.reshape(2, 4, (q1 - q0) * B)[..., k0 - q0 * B:k1 - q0 * B]
 
 
 @dataclass(frozen=True)

@@ -292,7 +292,8 @@ def grid_steps(t_max: float, dt: float) -> int:
 
     ScenarioError unless 0 < dt < t_max are finite, the grid has at most
     MAX_GRID_POINTS points and t_max / dt is whole within STEP_TOL; those
-    two messages name the largest or the nearest t_max that passes.
+    two messages name the largest or the nearest t_max that passes, and
+    the first also the bytes a run and a --ltp run keep.
     """
     _require_finite("t_max", t_max)
     _require_finite("dt", dt)
@@ -305,10 +306,12 @@ def grid_steps(t_max: float, dt: float) -> int:
     steps = t_max / dt
     nt = round(steps) + 1 if math.isfinite(steps) else math.inf
     if nt > MAX_GRID_POINTS:
+        ltp = RUN_BYTES_PER_POINT + 5 * 16  # the four conditional n and R
         raise ScenarioError(
             f"grid too large: {nt} points, whose run would keep up to "
             f"{nt * RUN_BYTES_PER_POINT:.4g} bytes ({RUN_BYTES_PER_POINT} "
-            f"per point); at dt={dt:g} t_max may be at most "
+            f"per point, {ltp} with --ltp: {MAX_GRID_POINTS * ltp:.4g} bytes "
+            f"at the cap); at dt={dt:g} t_max may be at most "
             f"{(MAX_GRID_POINTS - 1) * dt:.12g} ({MAX_GRID_POINTS} points)")
     if abs(steps - round(steps)) > STEP_TOL * steps:
         raise ScenarioError(

@@ -1,8 +1,8 @@
 """Independent verification paths for the simulation pipeline.
 
-Three brute-force checks.  The first two share no code with the
-production route beyond the operator algebra; the third is built from
-whole production runs:
+Three checks.  The first two share no code with the production route
+beyond the operator algebra; the third is built from whole production
+runs:
 
   * exact_closed_evolution: for zero bath coupling the joint state obeys
     an ordinary 4-dimensional Schrodinger equation with the Hermitian
@@ -17,11 +17,11 @@ whole production runs:
     non-Hermitian generator U; agreement of the two is a genuine
     cross-implementation test.
 
-  * propagator_residual: a central-difference check that the player rows
-    of a grid's V solve dV/dt = V i U for the grid's own generator U, with
-    the expected second-order behavior in dt.  It walks the grid in chunks
-    of dynamics.CHUNK_POINTS points of PropagatorGrid.player_rows, so its
-    scratch is bounded whatever t_max is.
+  * propagator_residual: the one-step semigroup defect of the two factor
+    stacks a grid keeps, against E = exp(i U dt) for the grid's own
+    generator U from this module's own exponential, _expm, which takes a
+    square matrix of any size.  By induction it bounds the error of V at
+    every grid point, at rounding scale, in O(sqrt(nt)) time and scratch.
 
   * ltp_residual: the decision functions compared against the classical
     law of total probability.  Four conditional simulations started from
@@ -46,9 +46,11 @@ cheap and adequate for fixed 4x4 operators.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import algebra, dynamics
+from . import algebra
 from .dynamics import PropagatorGrid, conditional_stack, decision_series
 from .model import _N_DIAG, InitialState, ModelParams, Scenario
 
@@ -98,45 +100,50 @@ def exact_closed_evolution(params: ModelParams, initial: InitialState,
 
 
 def propagator_residual(grid: PropagatorGrid) -> float:
-    """Max norm of the central-difference defect of dV/dt = V i U.
+    """Max norm of the one-step semigroup defect of the grid's two stacks.
 
-    V = exp(i U t) commutes with U = grid.generator, so its player rows obey
-    d/dt V_j = V_j i U; the defect is taken at the interior grid points on
-    the rows grid.player_rows forms, in chunks of dynamics.CHUNK_POINTS
-    points, and no (nt, 4, 4) array of V is formed.  Each point's defect
-    depends only on its own rows, so the chunking never changes the result.
-    Needs at least 3 points.  The defect of the exact propagator sampled on
-    the grid is the Taylor remainder of the central difference, O(dt^2), so
-    halving dt must shrink the result by about 4.
+    With E = exp(i U dt) for U = grid.generator, B = inner.shape[-1] and
+    nq = outer.shape[-1], the defect is the largest entry of
+
+        I_0 - 1,   O_0 - 1[:2],   I_{b+1} - I_b E   (b < B - 1),
+        O_{q+1} - O_q (I_{B-1} E)   (q < nq - 1),
+
+    for the outer stack O_q = V(t_qB)[:2] and the inner stack I_b = V(t_b)
+    the forms read.  By induction it bounds the error of every player row
+    O_q I_b against V(t_{qB+b}) = E^{qB+b}, so it reads at rounding scale
+    for a correct grid and sees an error of that size in any stack matrix.
+    E comes from _expm, not from the production exponential; time and
+    scratch are O(sqrt(nt)), and nothing is kept.  Needs at least 2 points.
     """
     times = grid.times
-    nt = len(times)
-    if nt < 3:
-        raise ValueError("residual needs at least 3 grid points")
-    dt = times[1] - times[0]
-    iU = 1j * grid.generator
-    worst = 0.0
-    for k0 in range(1, nt - 1, dynamics.CHUNK_POINTS):
-        k1 = min(k0 + dynamics.CHUNK_POINTS, nt - 1)
-        worst = np.maximum(worst, _chunk_defect(grid, k0, k1, iU, dt))  # a nan stays
-    return float(worst)
+    if len(times) < 2:
+        raise ValueError("residual needs at least 2 grid points")
+    E = _expm(1j * grid.generator * (times[1] - times[0]))
+    O = grid.outer.transpose(2, 0, 1)  # [q, j, a]
+    I = grid.inner.transpose(2, 0, 1)  # [b, a, c]
+    defects = [I[0] - np.eye(4), O[0] - np.eye(4)[:2],
+               I[:-1] @ E - I[1:], O[:-1] @ (I[-1] @ E) - O[1:]]
+    return float(np.max([np.abs(d).max(initial=0.0) for d in defects]))  # a nan stays
 
 
-def _chunk_defect(grid: PropagatorGrid, k0: int, k1: int, iU: np.ndarray,
-                  dt: float) -> float:
-    """Max norm of the defect at the grid points k0 <= k < k1.
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) for one square complex matrix M of any size.
 
-    The derivative term comes first and the central difference is added
-    into it, so the scratch is the rows of k0 - 1 to k1 and one array of
-    the same size, both released on return.
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
+    M is divided by 2^s, s >= 0, so that its 1-norm is below 1/2, the
+    Taylor terms X^k / k! of the scaled X are summed up to k = 16, whose
+    remainder is below 1e-19 of the sum, and the sum is squared s times.
     """
-    rows = grid.player_rows(k0 - 1, k1 + 1)
-    defect = np.einsum("jat,ac->jct", rows[..., 1:-1], iU)
-    defect *= -2.0 * dt
-    defect += rows[..., 2:]
-    defect -= rows[..., :-2]
-    defect /= 2.0 * dt
-    return np.abs(defect).max()
+    M = np.asarray(M, dtype=complex)
+    s = max(0, math.frexp(np.abs(M).sum(axis=0).max(initial=0.0))[1] + 1)
+    X = M / 2.0 ** s
+    term = E = np.eye(len(M), dtype=complex)
+    for k in range(1, 17):
+        term = term @ X / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:

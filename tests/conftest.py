@@ -22,6 +22,16 @@ def clear_slots():
     empty_slots()
 
 
+def grid_rows(grid):
+    """The player rows V(t_k)[:2] at every grid point, as a (2, 4, nt) array.
+
+    Multiplied out of the grid's public stacks: row j of V(t_{qB+b}) is
+    outer[j, :, q] @ inner[..., b].
+    """
+    rows = np.einsum("jaq,acb->jcqb", grid.outer, grid.inner)
+    return rows.reshape(2, 4, -1)[..., :len(grid.times)]
+
+
 def count_calls(monkeypatch, *names):
     """Count the calls of the named dynamics functions, by name."""
     counts = Counter()

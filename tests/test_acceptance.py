@@ -16,6 +16,7 @@ from time import perf_counter
 import numpy as np
 from scipy.linalg import expm
 
+from conftest import grid_rows
 import qduet
 from qduet.algebra import (
     build_basis,
@@ -72,26 +73,24 @@ def test_criterion_2_propagator():
 
     grid = propagator(U, s.t_max, 1e-4)
     # rows[k] = player rows of V(t_k)
-    rows = grid.player_rows(0, len(grid.times)).transpose(2, 0, 1)
+    rows = grid_rows(grid).transpose(2, 0, 1)
     v0_dev = np.abs(rows[0] - np.eye(4)[:2]).max()
     semigroup = max(
         np.abs(rows[i] @ expm(1j * U * grid.times[j]) - rows[i + j]).max()
         for i, j in ((1234, 2345), (100, 4000), (2500, 2500), (1, 4999)))
 
-    residuals = []
-    for dt in (2e-4, 1e-4, 5e-5):
-        g = propagator(U, s.t_max, dt)
-        residuals.append(propagator_residual(g))
-    ratio_a = residuals[0] / residuals[1]
-    ratio_b = residuals[1] / residuals[2]
+    # the one-step semigroup defect of the grid's stacks, at rounding
+    # scale on every dt (24.5 eps at most measured)
+    eps = np.finfo(float).eps
+    defect = max(propagator_residual(propagator(U, s.t_max, dt))
+                 for dt in (2e-4, 1e-4, 5e-5))
     elapsed = perf_counter() - t0
-    ok = (v0_dev <= 1e-12 and semigroup <= 1e-9
-          and 3.5 <= ratio_a <= 4.5 and 3.5 <= ratio_b <= 4.5
+    ok = (v0_dev <= 1e-12 and semigroup <= 1e-9 and defect <= 32 * eps
           and elapsed < 10.0)
     report(2, ok,
            f"V(0) deviation {v0_dev:.2e} (tol 1e-12), semigroup deviation "
-           f"{semigroup:.2e} (tol 1e-9), defect ratios {ratio_a:.2f}/{ratio_b:.2f} "
-           f"(expected ~4), {elapsed:.2f} s")
+           f"{semigroup:.2e} (tol 1e-9), propagator defect {defect / eps:.1f} eps "
+           f"(tol 32 eps), {elapsed:.2f} s")
 
 
 def test_criterion_3_closed_system_oracle():

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import amplitude_vectors, empty_slots
+from conftest import amplitude_vectors, empty_slots, grid_rows
 import qduet
 from qduet import algebra, dynamics
 from qduet.dynamics import (
@@ -37,7 +37,6 @@ from qduet.model import (
     born_probabilities,
     build_generator,
 )
-from qduet.oracle import propagator_residual
 
 
 def make_params(**kw):
@@ -85,20 +84,11 @@ def stack_bytes(grid):
             + grid.inner_terms.nbytes)
 
 
-def all_rows(grid):
-    """The grid's player rows at every point, as a (2, 4, nt) array."""
-    return grid.player_rows(0, len(grid.times))
-
-
-def player_rows(grid, i):
-    """The grid's player rows of V(t_i) as a (2, 4) array."""
-    return grid.player_rows(i, i + 1)[..., 0]
-
-
 def semigroup_deviation(U, grid, i, j):
     """max |rows(t_{i+j}) - rows(t_i) expm(i U t_j)|."""
+    rows = grid_rows(grid)
     step = expm(1j * U * grid.times[j])
-    return np.abs(player_rows(grid, i) @ step - player_rows(grid, i + j)).max()
+    return np.abs(rows[..., i] @ step - rows[..., i + j]).max()
 
 
 def test_scenario_grid_is_shared_and_read_only():
@@ -182,7 +172,7 @@ def test_make_times():
 def test_propagator_identity_at_zero():
     U = build_generator(make_params(mu_ex=500.0))
     grid = propagator(U, 0.01, 1e-4)
-    assert np.abs(player_rows(grid, 0) - np.eye(4)[:2]).max() <= 1e-12
+    assert np.abs(grid_rows(grid)[..., 0] - np.eye(4)[:2]).max() <= 1e-12
     assert not grid.used_fallback
 
 
@@ -195,14 +185,14 @@ def test_propagator_free_case_diagonal_phases():
     expected = np.zeros((len(times), 4, 4), dtype=complex)
     for k, w in enumerate((-w1, -w2, w1, w2)):
         expected[:, k, k] = np.exp(1j * w * times)
-    assert np.abs(all_rows(grid) - as_rows(expected)).max() <= 1e-12
+    assert np.abs(grid_rows(grid) - as_rows(expected)).max() <= 1e-12
 
 
 def test_propagator_decoupled_damping_magnitude():
     params = make_params(lambda2=0.0)
     gamma1 = params.gamma1
     grid = propagator(build_generator(params), 1.0, 1e-3)
-    assert np.abs(np.abs(all_rows(grid)[0, 0]) - np.exp(-gamma1 * grid.times)).max() <= 1e-12
+    assert np.abs(np.abs(grid_rows(grid)[0, 0]) - np.exp(-gamma1 * grid.times)).max() <= 1e-12
 
 
 def test_propagator_semigroup_on_stiff_preset():
@@ -281,7 +271,7 @@ def test_propagator_fallback_on_defective_generator():
     times = grid.times
     assert grid.used_fallback
     expected = np.eye(4)[None, :, :] + 1j * U[None, :, :] * times[:, None, None]
-    assert np.abs(all_rows(grid) - as_rows(expected)).max() <= 1e-12
+    assert np.abs(grid_rows(grid) - as_rows(expected)).max() <= 1e-12
 
 
 def test_propagator_table_squares_large_steps():
@@ -294,7 +284,7 @@ def test_propagator_table_squares_large_steps():
     assert grid.used_fallback
     iUt = 1j * U[None, :, :] * times[:, None, None]
     expected = np.eye(4) + iUt + iUt @ iUt / 2.0
-    assert (np.abs(all_rows(grid) - as_rows(expected)).max()
+    assert (np.abs(grid_rows(grid) - as_rows(expected)).max()
             <= 1e-12 * np.abs(expected).max())
 
 
@@ -327,8 +317,9 @@ def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max)
     tol = 1e-12
     if not grid.used_fallback:
         tol = max(tol, 4 * np.finfo(float).eps * cond)
+    rows = grid_rows(grid)
     for i in np.linspace(0, len(times) - 1, 20).astype(int):
-        assert np.abs(player_rows(grid, i) - expm(1j * U * times[i])[:2]).max() <= tol
+        assert np.abs(rows[..., i] - expm(1j * U * times[i])[:2]).max() <= tol
 
 
 def test_propagator_fallback_near_eigenvalue_coalescence():
@@ -336,7 +327,7 @@ def test_propagator_fallback_near_eigenvalue_coalescence():
     # blows up and either fallback trigger must fire
     grid = propagator(build_generator(exceptional_params()), 1.0, 1e-2)
     assert grid.used_fallback
-    assert np.abs(player_rows(grid, 0) - np.eye(4)[:2]).max() <= 1e-12
+    assert np.abs(grid_rows(grid)[..., 0] - np.eye(4)[:2]).max() <= 1e-12
 
 
 def explicit_form(V, W):
@@ -429,35 +420,12 @@ def test_eigen_route_near_exceptional_point_meets_the_born_check(detune):
     assert abs(series.n[0, 1] - p2_1) <= 1e-12
 
 
-def chunk_scenario(route):
-    # nt = 5001: neither 7 nor 1000 nor the default divides it, nor any
-    # whole number of table rows of B = 71
+def route_scenario(route):
+    # nt = 5001, not a whole number of table rows of B = 71
     if route == "eigendecomposition":
         return PRESETS["fig6-right"]
     return make_scenario(exceptional_params(), InitialState(0.5j, -0.5j, 0.5, -0.5),
                          N1=0.3, N2=0.8, t_max=5.0, dt=1e-3)
-
-
-@pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
-def test_chunk_length_changes_no_bit(route, monkeypatch):
-    s = chunk_scenario(route)
-    runs = []
-    for chunk in (None, 7, 1000):
-        if chunk is not None:
-            monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
-        empty_slots()
-        series = decision_series(s)
-        grid = scenario_grid(s)
-        assert grid.used_fallback == (route == "fallback")
-        # the chunk length bounds only the oracle's walk over the nt - 2
-        # interior points; a chunk of 7 leaves a one-point last chunk, and
-        # the forms, which take no chunks, must not move either
-        runs.append([a.tobytes() for a in (series.mu, series.dmu, series.nB, series.n)]
-                    + [propagator_residual(grid)])
-    nt = len(series.times)
-    assert nt % 7 and nt % 1000 and nt % dynamics.CHUNK_POINTS
-    assert (nt - 2) % 7 == 1
-    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
@@ -469,7 +437,7 @@ def test_cold_run_peak_memory_stays_below_V(route):
     if route == "eigendecomposition":
         s = dataclasses.replace(PRESETS["fig3-left"], t_max=5.0)
     else:
-        s = dataclasses.replace(chunk_scenario(route), t_max=50.0)
+        s = dataclasses.replace(route_scenario(route), t_max=50.0)
     tracemalloc.start()
     try:
         series = decision_series(s)
@@ -489,7 +457,7 @@ def test_grid_bytes_grow_as_sqrt_nt(route):
     # besides its times, a grid holds U, the outer and inner stacks and
     # their terms, 128 + 256 bytes per table row and 256 + 2048 per
     # column: no array of nt points
-    base = chunk_scenario(route)
+    base = route_scenario(route)
     for scale in (1, 10, 40):  # nt = 5001, 50001 and 200001
         s = dataclasses.replace(base, t_max=base.t_max * scale)
         grid = scenario_grid(s)
@@ -507,23 +475,9 @@ def test_grid_bytes_grow_as_sqrt_nt(route):
         assert held - grid.times.nbytes <= 2688 * (math.isqrt(nt) + 2) + 256
 
 
-@pytest.mark.parametrize("route", ["eigendecomposition", "fallback"])
-def test_player_rows_do_not_depend_on_the_range(route):
-    # a point's rows are the same bits whichever chunk asks for them; the
-    # ranges start and end inside, on and across the table rows of B = 71
-    grid = scenario_grid(chunk_scenario(route))
-    nt = len(grid.times)
-    B = grid.inner.shape[-1]
-    rows = all_rows(grid)
-    assert rows.shape == (2, 4, nt)
-    for k0, k1 in ((0, 1), (5, 300), (B - 1, B + 1), (B, 2 * B), (3, 3),
-                   (nt - 3, nt), (nt - B - 7, nt)):
-        assert grid.player_rows(k0, k1).tobytes() == rows[..., k0:k1].tobytes()
-
-
 def elementwise_forms(grid, W):
     """f_j^W at every grid point, term by term on the player rows."""
-    x = all_rows(grid)
+    x = grid_rows(grid)
     return np.einsum("jck,cd,jdk->jk", x.conj(), W, x).real
 
 

@@ -186,6 +186,9 @@ def test_validate_scenario_grid_size_guard():
     message = str(err.value)
     assert f"{MAX_GRID_POINTS + 1} points" in message
     assert f"{(MAX_GRID_POINTS + 1) * RUN_BYTES_PER_POINT:.4g} bytes" in message
+    # a --ltp run keeps the four conditional n and R besides the run
+    ltp = RUN_BYTES_PER_POINT + 5 * 16
+    assert f"{ltp} with --ltp: {MAX_GRID_POINTS * ltp:.4g} bytes at the cap" in message
     assert f"t_max may be at most {largest.t_max:.12g} " in message
     # the largest t_max named passes validation, whatever dt is
     for dt in (1.23456e-4, 7.7777e-5):
