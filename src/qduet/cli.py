@@ -61,6 +61,7 @@ from .model import (
     C1,
     C2,
     PRESETS,
+    STEP_TOL,
     Scenario,
     ScenarioError,
     grid_steps,
@@ -127,7 +128,9 @@ def read_csv(path: str | Path) -> DecisionSeries:
     """Read a component table back into a series (scenario not recorded).
 
     A wrong header, a table without data rows, a non-numeric cell or a
-    row of the wrong length raises ScenarioError.
+    row of the wrong length raises ScenarioError, and so does a t column
+    that is not a uniform grid from 0: fewer than 2 rows, t[0] != 0, or a
+    step that differs from dt = t[1] > 0 by more than STEP_TOL relative.
     """
     with open(path) as fh:
         if fh.readline().strip() != CSV_HEADER:
@@ -144,8 +147,16 @@ def read_csv(path: str | Path) -> DecisionSeries:
         raise ScenarioError(f"{path}: no data rows")
     if data.shape[1] != 9:
         raise ScenarioError(f"{path}: expected 9 columns per row")
+    times = data[:, 0]
+    if len(times) < 2:
+        raise ScenarioError(f"{path}: a series needs at least 2 rows")
+    if times[0] != 0.0:
+        raise ScenarioError(f"{path}: t must start at 0, got {times[0]!r}")
+    dt = times[1]
+    if not (dt > 0.0 and np.all(np.abs(np.diff(times) - dt) <= STEP_TOL * dt)):
+        raise ScenarioError(f"{path}: t is not a uniform grid of step t[1] = {dt!r}")
     return DecisionSeries(
-        times=data[:, 0],
+        times=times,
         n=data[:, [1, 5]], mu=data[:, [2, 6]],
         dmu=data[:, [3, 7]], nB=data[:, [4, 8]],
         scenario=None,

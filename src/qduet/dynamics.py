@@ -90,8 +90,9 @@ last context, keyed on (params, t_max, dt, reservoir).  Its record holds
     state;
   * once conditional_stack asks for them, the read-only n of the four
     runs started from the sharp basis states, as one (4, 2, nt) array.
-    Each run is assembled straight into its slot, beside the kept series,
-    which stays in place.
+    A sharp state's Gram matrix is diagonal, so its dmu is +0.0 and its
+    n is mu + nB: each slot is its run's mu form plus the context's nB,
+    checked as a run is, beside the kept series, which stays in place.
 
 The slot is emptied before a different context is built, so at most one
 record is held, and it stays in memory after a run.  A run that fails
@@ -408,19 +409,20 @@ def scenario_grid(s: Scenario) -> PropagatorGrid:
     return _context(s).grid
 
 
-def _check(s: Scenario, n: np.ndarray) -> None:
-    """The run-time checks of the n of a run of s; NumericalError on failure."""
-    _, p1_1, _, p2_1 = born_probabilities(s.initial)
+def _check(initial: InitialState, label: str, n: np.ndarray) -> None:
+    """The run-time checks of the n of a run from initial; a NumericalError
+    on failure names label."""
+    _, p1_1, _, p2_1 = born_probabilities(initial)
     start_dev = max(abs(n[0, 0] - p1_1), abs(n[0, 1] - p2_1))
     if start_dev > 1e-10:
         raise NumericalError(
             f"n(0) deviates from the Born marginals by {start_dev:.3g} "
-            f"(scenario {s.label!r})")
+            f"(scenario {label!r})")
     low, high = n.min(), n.max()
     if low < -BOUND_TOL or high > 1.0 + BOUND_TOL:
         raise NumericalError(
             f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
-            f"range [{low:.6g}, {high:.6g}] (scenario {s.label!r})")
+            f"range [{low:.6g}, {high:.6g}] (scenario {label!r})")
 
 
 def _assemble(s: Scenario, context: _Context) -> DecisionSeries:
@@ -430,23 +432,11 @@ def _assemble(s: Scenario, context: _Context) -> DecisionSeries:
     dmu = delta_mu(grid, s.initial).T
     n = mu + dmu
     n += context.nB
-    _check(s, n)
+    _check(s.initial, s.label, n)
     for values in (mu, dmu, n):
         values.flags.writeable = False
     return DecisionSeries(times=grid.times, mu=mu, dmu=dmu, nB=context.nB,
                           n=n, scenario=s)
-
-
-def _assemble_n(s: Scenario, context: _Context, out: np.ndarray) -> None:
-    """The n of the run of s written into the (nt, 2) array out, checked.
-
-    The same sums as _assemble, but mu is released before dmu is formed,
-    since only n is kept.
-    """
-    out[...] = mu_player(context.grid, s.initial).T
-    out += delta_mu(context.grid, s.initial).T
-    out += context.nB
-    _check(s, out)
 
 
 def decision_series(s: Scenario) -> DecisionSeries:
@@ -484,17 +474,22 @@ def conditional_stack(s: Scenario) -> np.ndarray:
     phi_11, the conditional runs of the law of total probability, with
     [k].T the (nt, 2) n of run k, each player's values contiguous as in a
     run's n.  It depends on s only through its run context, which keeps
-    it: the first call in a context assembles each run in full, run-time
-    checks included, labelled "<label>|phi<k><l>", straight into its slot,
-    and keeps only its n; the context's kept series stays in place.  Later
-    calls return the kept array.  A NumericalError in any run keeps none.
+    it.  A sharp state's interference part is +0.0 throughout (see
+    delta_mu), so the first call in a context fills slot k with mu_player
+    of basis state k plus the context's nB, the n of decision_series from
+    that state bit for bit, and runs a run's checks on it, labelled
+    "<label>|phi<k><l>"; delta_mu is never called, and the context's kept
+    series stays in place.  Later calls return the kept array.  A
+    NumericalError in any run keeps none.
     """
     context = _context(s)
     if context.conditional_n is None:
         stack = np.empty((4, 2, len(context.grid.times)))
         for slot, (k, l) in zip(stack, ((0, 0), (1, 0), (0, 1), (1, 1))):
-            _assemble_n(replace(s, initial=InitialState.basis_state(k, l),
-                                label=f"{s.label}|phi{k}{l}"), context, slot.T)
+            initial = InitialState.basis_state(k, l)
+            slot[...] = mu_player(context.grid, initial)
+            slot += context.nB.T
+            _check(initial, f"{s.label}|phi{k}{l}", slot.T)
         stack.flags.writeable = False
         context.conditional_n = stack
     return context.conditional_n

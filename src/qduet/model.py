@@ -43,6 +43,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -184,10 +185,13 @@ class InitialState:
             raise ScenarioError(
                 f"initial state not normalized: sum |alpha|^2 = {total!r}")
 
-    @property
+    @cached_property
     def amplitudes(self) -> np.ndarray:
-        """Amplitudes as a length-4 complex array in basis order."""
-        return np.array([self.a00, self.a10, self.a01, self.a11], dtype=complex)
+        """Amplitudes as a read-only length-4 complex array in basis order,
+        built on first use and kept with the state."""
+        a = np.array([self.a00, self.a10, self.a01, self.a11], dtype=complex)
+        a.flags.writeable = False
+        return a
 
     @classmethod
     def from_amplitudes(cls, alpha) -> "InitialState":

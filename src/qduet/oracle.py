@@ -1,8 +1,7 @@
 """Independent verification paths for the simulation pipeline.
 
 Three checks.  The first two share no code with the production route
-beyond the operator algebra; the third is built from whole production
-runs:
+beyond the operator algebra; the third is built from production runs:
 
   * exact_closed_evolution: for zero bath coupling the joint state obeys
     an ordinary 4-dimensional Schrodinger equation with the Hermitian
@@ -32,9 +31,11 @@ runs:
     bath part does not depend on the initial player state at all, so the
     residual isolates exactly the interference part dmu_j; the comparison
     is still run through the four conditional simulations, not through
-    that identity.  Each of the five runs is assembled in full (mu, dmu,
-    run-time checks, and the bath part of their shared run context), so R
-    never reads dmu.  The conditional runs come from
+    that identity.  A sharp state's Gram matrix is diagonal, so its
+    interference part is +0.0 and each conditional n is its direct form
+    plus the bath part of the shared run context, with a run's run-time
+    checks; it is the n of the full run from that state bit for bit, and
+    R never reads dmu.  The conditional runs come from
     dynamics.conditional_stack, which keeps their n as one array in the
     run context of (params, t_max, dt, reservoir): a sweep over initial
     states, or a second scenario that differs only in its initial state,
@@ -149,7 +150,7 @@ def _expm(M: np.ndarray) -> np.ndarray:
 def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Law-of-total-probability residual series for both players.
 
-    Runs the scenario itself plus the four conditional scenarios with the
+    Runs the scenario itself plus the four conditional runs from the
     sharp basis initial states phi_km, then returns (times, R) where
     R[:, j-1] = n_j(t) - sum_km |alpha_km|^2 n_j(t | started from phi_km).
 
@@ -158,10 +159,11 @@ def ltp_residual(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
     The conditional runs' n comes from dynamics.conditional_stack(s), a
     (4, 2, nt) array: the first time s's run context asks for it, each
-    conditional run is assembled in full with its run-time checks, and a
-    NumericalError there keeps none of them.  The classical prediction is
-    one product of the weights |alpha_km|^2 with that array, laid out as
-    the run's n, and R is n minus it, in the prediction's own buffer.
+    conditional run is its sharp state's mu form plus the context's nB
+    (its dmu is +0.0), checked as any run is, and a NumericalError there
+    keeps none of them.  The classical prediction is one product of the
+    weights |alpha_km|^2 with that array, laid out as the run's n, and R
+    is n minus it, in the prediction's own buffer.
     """
     series = decision_series(s)
     weights = np.abs(s.initial.amplitudes) ** 2

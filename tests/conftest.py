@@ -33,8 +33,8 @@ def grid_rows(grid):
 
 
 def count_calls(monkeypatch, *names):
-    """Count the calls of the named dynamics functions, by name."""
-    counts = Counter()
+    """Count the calls of the named dynamics functions, by name, each from 0."""
+    counts = Counter(dict.fromkeys(names, 0))
     for name in names:
         def counting(*args, _name=name, _original=getattr(dynamics, name),
                      **kwargs):

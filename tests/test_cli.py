@@ -83,14 +83,23 @@ def test_csv_round_trip_is_exact(tmp_path):
 ROW = ",".join(["0.5"] * 9)
 
 
+def rows(*times):
+    return "\n".join(f"{t},{ROW[4:]}" for t in times)
+
+
 @pytest.mark.parametrize("text, message", [
     (f"t,n1,n2\n{ROW}", "not a decision-series CSV"),
     (f"{CSV_HEADER}\nabc{ROW[3:]}", None),
     (f"{CSV_HEADER}\n{ROW}\n{ROW[:-4]}", None),
     (f"{CSV_HEADER}\n{ROW[:-4]}", "expected 9 columns"),
     (CSV_HEADER, "no data rows"),
+    (f"{CSV_HEADER}\n{rows(0)}", "at least 2 rows"),
+    (f"{CSV_HEADER}\n{rows(0.5, 0.6, 0.7)}", "must start at 0"),
+    (f"{CSV_HEADER}\n{rows(0, 0.2, 0.1)}", "not a uniform grid"),
+    (f"{CSV_HEADER}\n{rows(0, 0, 0)}", "not a uniform grid"),
 ], ids=["wrong-header", "non-numeric-cell", "short-row", "8-columns",
-        "header-only"])
+        "header-only", "one-row", "non-zero-start", "non-uniform",
+        "zero-step"])
 @pytest.mark.filterwarnings("error")
 def test_read_csv_rejects_malformed_tables(tmp_path, text, message):
     path = tmp_path / "bad.csv"

@@ -269,16 +269,20 @@ def test_ltp_residual_is_the_classical_mix_subtracted(s):
     assert np.abs(R - expected).max() <= 4 * EPS
 
 
+BASES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
 def test_conditional_runs_are_views_of_one_kept_array(monkeypatch):
     # four read-only (nt, 2) views of one (4, 2, nt) array, in the memory
-    # order of a run's n, each the bits of the full run from its basis state
+    # order of a run's n, each the bits of the full run from its basis
+    # state; a sharp state's dmu is +0.0, so no interference form is built
     s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5))
     series = decision_series(s)
     counts = count_calls(monkeypatch, "mu_player", "delta_mu")
     runs = dynamics.conditional_runs(s)
     stack = _kept_context().conditional_n
     nt = len(series.times)
-    assert counts == {"mu_player": 4, "delta_mu": 4}
+    assert counts == {"mu_player": 4, "delta_mu": 0}
     assert stack.shape == (4, 2, nt) and stack.flags.c_contiguous
     assert not stack.flags.writeable
     assert dynamics.conditional_stack(s) is stack
@@ -286,13 +290,51 @@ def test_conditional_runs_are_views_of_one_kept_array(monkeypatch):
     for n in runs + dynamics.conditional_runs(s):
         assert n.base is stack and not n.flags.writeable
         assert n.shape == (nt, 2) and n.strides == series.n.strides
-    assert counts == {"mu_player": 4, "delta_mu": 4}
+    assert counts == {"mu_player": 4, "delta_mu": 0}
     monkeypatch.undo()
-    bases = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for n, (k, l) in zip(runs, bases):
+    for n, (k, l) in zip(runs, BASES):
         run = decision_series(dataclasses.replace(
             s, initial=InitialState.basis_state(k, l)))
         assert n.tobytes() == run.n.tobytes()
+
+
+@pytest.mark.parametrize("s", LTP_CASES, ids=[s.label for s in LTP_CASES])
+def test_conditional_runs_are_the_runs_from_basis_states(s):
+    # mu + nB in each slot is, bit for bit, the n of the full run
+    # mu + dmu + nB from that basis state, on every preset and ep-1 to ep-3
+    runs = dynamics.conditional_runs(s)
+    for n, (k, l) in zip(runs, BASES):
+        run = decision_series(dataclasses.replace(
+            s, initial=InitialState.basis_state(k, l)))
+        assert n.tobytes() == run.n.tobytes()
+
+
+def test_conditional_stack_builds_without_delta_mu(monkeypatch):
+    s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5))
+
+    def no_interference_form(*args):
+        raise AssertionError("delta_mu called for a conditional run")
+
+    monkeypatch.setattr(dynamics, "delta_mu", no_interference_form)
+    stack = dynamics.conditional_stack(s)
+    monkeypatch.undo()
+    assert dynamics.conditional_stack(s) is stack
+
+
+def test_failed_conditional_check_names_its_run(monkeypatch):
+    # the run-time checks see each conditional n under "<label>|phi<k><l>"
+    s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5), label="mixed")
+    calls = []
+
+    def third_run_starts_off(grid, initial):
+        calls.append(1)
+        mu = mu_player(grid, initial)
+        return mu + 0.5 if len(calls) == 3 else mu
+
+    monkeypatch.setattr(dynamics, "mu_player", third_run_starts_off)
+    with pytest.raises(NumericalError, match=r"Born marginals .*'mixed\|phi01'"):
+        dynamics.conditional_stack(s)
+    assert _kept_context().conditional_n is None
 
 
 def test_ltp_residual_equals_interference_part():
@@ -466,9 +508,9 @@ def test_run_stays_kept_through_its_ltp_residual(monkeypatch):
 def test_cold_ltp_residual_memory_per_point(name):
     # what a cold residual keeps: the run (RUN_BYTES_PER_POINT), the four
     # conditional n and R, 5 * 16 B per point more; a conditional run
-    # forms its mu and then its dmu beside the four slots, before R is
-    # formed, so the peak stays within what is kept (151.6 B per point
-    # besides the stacks and the slack, measured on both cases)
+    # forms only its mu beside the four slots, before R is formed, so the
+    # peak stays within what is kept (151.6 B per point besides the stacks
+    # and the slack, measured on both cases)
     s = dataclasses.replace(PRESETS[name], t_max=5.0)
     tracemalloc.start()
     try:
