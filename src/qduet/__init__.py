@@ -35,71 +35,15 @@ if "numpy" not in sys.modules and not any(
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .algebra import build_basis, build_mode_operators, car_residual, number_operators
-from .analysis import (
-    AsymptoticsReport,
-    DecisionOutcome,
-    asymptotics,
-    decision_time,
-    noise_metric,
-    odds,
-)
-from .dynamics import (
-    DecisionSeries,
-    NumericalError,
-    PropagatorGrid,
-    bath_contribution,
-    conditional_runs,
-    conditional_stack,
-    decision_series,
-    delta_mu,
-    make_times,
-    mu_player,
-    propagator,
-    scenario_grid,
-)
-from .model import (
-    CALPHA1,
-    CALPHA2,
-    C1,
-    C2,
-    PRESETS,
-    InitialState,
-    ModelParams,
-    ReservoirState,
-    Scenario,
-    ScenarioError,
-    born_probabilities,
-    build_generator,
-    default_dt,
-    is_entangled,
-    load_scenario,
-    save_scenario,
-    validate_scenario,
-)
-from .oracle import (
-    closed_hamiltonian,
-    exact_closed_evolution,
-    ltp_residual,
-    propagator_residual,
-)
+from . import algebra, analysis, dynamics, model, oracle
+from .algebra import *
+from .analysis import *
+from .dynamics import *
+from .model import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "build_basis", "build_mode_operators", "number_operators", "car_residual",
-    "ModelParams", "ReservoirState", "InitialState",
-    "Scenario", "ScenarioError", "build_generator", "born_probabilities",
-    "is_entangled", "validate_scenario", "default_dt",
-    "load_scenario", "save_scenario",
-    "PRESETS", "C1", "C2", "CALPHA1", "CALPHA2",
-    "PropagatorGrid", "DecisionSeries", "NumericalError",
-    "make_times", "propagator", "mu_player", "delta_mu",
-    "bath_contribution", "scenario_grid", "decision_series",
-    "conditional_runs", "conditional_stack",
-    "closed_hamiltonian", "exact_closed_evolution",
-    "propagator_residual", "ltp_residual",
-    "DecisionOutcome", "AsymptoticsReport",
-    "odds", "decision_time", "asymptotics", "noise_metric",
-]
+# each module's __all__ is its public API, and the package's is their union
+__all__ = ["__version__", *algebra.__all__, *model.__all__, *dynamics.__all__,
+           *oracle.__all__, *analysis.__all__]

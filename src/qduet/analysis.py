@@ -98,7 +98,8 @@ def odds(series: DecisionSeries, t: float) -> tuple[float, float]:
     vanishing denominator.
     """
     dt = series.dt
-    idx = int(round(t / dt))
+    steps = t / dt
+    idx = int(round(steps)) if math.isfinite(steps) else -1
     if idx < 0 or idx >= len(series.times) or abs(series.times[idx] - t) > 1e-9 * max(dt, 1.0):
         raise ValueError(f"t={t!r} is not on the simulation grid")
     p = _clamp(series.n[idx])

@@ -127,10 +127,11 @@ def write_csv(path: str | Path, series: DecisionSeries) -> None:
 def read_csv(path: str | Path) -> DecisionSeries:
     """Read a component table back into a series (scenario not recorded).
 
-    A wrong header, a table without data rows, a non-numeric cell or a
-    row of the wrong length raises ScenarioError, and so does a t column
-    that is not a uniform grid from 0: fewer than 2 rows, t[0] != 0, or a
-    step that differs from dt = t[1] > 0 by more than STEP_TOL relative.
+    A wrong header, a table without data rows, a non-numeric or
+    non-finite cell (nan, inf) or a row of the wrong length raises
+    ScenarioError, and so does a t column that is not a uniform grid from
+    0: fewer than 2 rows, t[0] != 0, or a step that differs from
+    dt = t[1] > 0 by more than STEP_TOL relative.
     """
     with open(path) as fh:
         if fh.readline().strip() != CSV_HEADER:
@@ -147,6 +148,10 @@ def read_csv(path: str | Path) -> DecisionSeries:
         raise ScenarioError(f"{path}: no data rows")
     if data.shape[1] != 9:
         raise ScenarioError(f"{path}: expected 9 columns per row")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 1
+        raise ScenarioError(f"{path}: data row {row} holds a non-finite value")
     times = data[:, 0]
     if len(times) < 2:
         raise ScenarioError(f"{path}: a series needs at least 2 rows")

@@ -89,7 +89,8 @@ last context, keyed on (params, t_max, dt, reservoir).  Its record holds
     caller's scenario, and so the caller's label) for the same initial
     state;
   * once conditional_stack asks for them, the read-only n of the four
-    runs started from the sharp basis states, as one (4, 2, nt) array.
+    runs started from the sharp basis states, as one (4, 2, nt) array
+    whose [k].T is the (nt, 2) n of run k.
     A sharp state's Gram matrix is diagonal, so its dmu is +0.0 and its
     n is mu + nB: each slot is its run's mu form plus the context's nB,
     checked as a run is, beside the kept series, which stays in place.
@@ -129,7 +130,6 @@ __all__ = [
     "scenario_grid",
     "decision_series",
     "conditional_stack",
-    "conditional_runs",
 ]
 
 COND_LIMIT = 1e8
@@ -189,9 +189,10 @@ class DecisionSeries:
     """Decision functions and their three parts on the grid.
 
     Component arrays have shape (nt, 2); column j-1 belongs to player j.
-    n = mu + dmu + nB row by row.  The originating scenario is kept for
-    labeling and default analysis windows; synthetic series may set it
-    to None.
+    n = mu + dmu + nB row by row.  The originating scenario is kept with
+    the series, for its label and initial state; a series read back from
+    a table or built by hand may set it to None.  The analysis functions
+    read the times and n, never the scenario.
     """
 
     times: np.ndarray
@@ -364,8 +365,10 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
     eye = np.eye(4)
     L = np.kron(A, eye) + np.kron(eye, A.conj())
     N = np.linalg.lstsq(L, D.reshape(16).astype(complex), rcond=None)[0]
-    # clear the rounding noise lstsq leaves where N is zero in exact
-    # arithmetic, so that a decoupled player's feed stays exactly zero
+    # clear the lstsq noise, below 1e-16, where N is zero in exact
+    # arithmetic (on fig2-left N = c diag(1, 1, 0, 0)); without it the
+    # fig2 and fig6 tables move by up to 4.4e-16.  A decoupled player's
+    # feed is exactly zero either way.
     N[np.abs(N) < 1e-14 * np.abs(N).max()] = 0.0
     f = _player_forms(grid, N.reshape(4, 4).T)
     f -= f[:, :1].copy()
@@ -413,13 +416,15 @@ def _check(initial: InitialState, label: str, n: np.ndarray) -> None:
     """The run-time checks of the n of a run from initial; a NumericalError
     on failure names label."""
     _, p1_1, _, p2_1 = born_probabilities(initial)
-    start_dev = max(abs(n[0, 0] - p1_1), abs(n[0, 1] - p2_1))
-    if start_dev > 1e-10:
+    # numpy's max keeps a NaN, and each comparison is written so that a
+    # NaN fails it
+    start_dev = np.abs(n[0] - (p1_1, p2_1)).max()
+    if not start_dev <= 1e-10:
         raise NumericalError(
             f"n(0) deviates from the Born marginals by {start_dev:.3g} "
             f"(scenario {label!r})")
     low, high = n.min(), n.max()
-    if low < -BOUND_TOL or high > 1.0 + BOUND_TOL:
+    if not (low >= -BOUND_TOL and high <= 1.0 + BOUND_TOL):
         raise NumericalError(
             f"decision function left [0, 1] beyond tolerance {BOUND_TOL}: "
             f"range [{low:.6g}, {high:.6g}] (scenario {label!r})")
@@ -471,16 +476,16 @@ def conditional_stack(s: Scenario) -> np.ndarray:
     """n of the four runs of s's context started from sharp basis states.
 
     One read-only (4, 2, nt) array in basis order phi_00, phi_10, phi_01,
-    phi_11, the conditional runs of the law of total probability, with
-    [k].T the (nt, 2) n of run k, each player's values contiguous as in a
-    run's n.  It depends on s only through its run context, which keeps
-    it.  A sharp state's interference part is +0.0 throughout (see
-    delta_mu), so the first call in a context fills slot k with mu_player
-    of basis state k plus the context's nB, the n of decision_series from
-    that state bit for bit, and runs a run's checks on it, labelled
-    "<label>|phi<k><l>"; delta_mu is never called, and the context's kept
-    series stays in place.  Later calls return the kept array.  A
-    NumericalError in any run keeps none.
+    phi_11, the conditional runs of the law of total probability;
+    conditional_stack(s)[k].T is the (nt, 2) n of run k, a read-only view
+    with each player's values contiguous as in a run's n.  It depends on s
+    only through its run context, which keeps it.  A sharp state's
+    interference part is +0.0 throughout (see delta_mu), so the first call
+    in a context fills slot k with mu_player of basis state k plus the
+    context's nB, the n of decision_series from that state bit for bit,
+    and runs a run's checks on it, labelled "<label>|phi<k><l>"; delta_mu
+    is never called, and the context's kept series stays in place.  Later
+    calls return the kept array.  A NumericalError in any run keeps none.
     """
     context = _context(s)
     if context.conditional_n is None:
@@ -494,11 +499,3 @@ def conditional_stack(s: Scenario) -> np.ndarray:
         context.conditional_n = stack
     return context.conditional_n
 
-
-def conditional_runs(s: Scenario) -> tuple[np.ndarray, ...]:
-    """The four conditional n of conditional_stack(s) as (nt, 2) views.
-
-    A tuple of read-only views in basis order phi_00, phi_10, phi_01,
-    phi_11, one per row of the kept (4, 2, nt) array.
-    """
-    return tuple(n.T for n in conditional_stack(s))

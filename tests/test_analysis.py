@@ -57,6 +57,13 @@ def test_odds_requires_grid_time():
         odds(series, 0.00037)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+def test_odds_rejects_non_finite_time(t):
+    series = synthetic(np.full(11, 0.5), np.full(11, 0.5))
+    with pytest.raises(ValueError, match="not on the simulation grid"):
+        odds(series, t)
+
+
 @given(p=st.floats(0.0, 1.0 - 1e-9), q=st.floats(0.0, 1.0 - 1e-9))
 @settings(deadline=None)
 def test_odds_monotone_in_probability(p, q):

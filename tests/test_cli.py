@@ -97,9 +97,13 @@ def rows(*times):
     (f"{CSV_HEADER}\n{rows(0.5, 0.6, 0.7)}", "must start at 0"),
     (f"{CSV_HEADER}\n{rows(0, 0.2, 0.1)}", "not a uniform grid"),
     (f"{CSV_HEADER}\n{rows(0, 0, 0)}", "not a uniform grid"),
+    (f"{CSV_HEADER}\n{rows(0, 0.1)}\n0.2,nan,{ROW[8:]}",
+     r"bad\.csv: data row 3 holds a non-finite value"),
+    (f"{CSV_HEADER}\n{rows(0)}\n0.1,{ROW[4:-3]}inf\n{rows(0.2)}",
+     r"bad\.csv: data row 2 holds a non-finite value"),
 ], ids=["wrong-header", "non-numeric-cell", "short-row", "8-columns",
         "header-only", "one-row", "non-zero-start", "non-uniform",
-        "zero-step"])
+        "zero-step", "nan-cell", "inf-cell"])
 @pytest.mark.filterwarnings("error")
 def test_read_csv_rejects_malformed_tables(tmp_path, text, message):
     path = tmp_path / "bad.csv"

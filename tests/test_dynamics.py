@@ -162,6 +162,20 @@ def test_failed_run_keeps_no_series(monkeypatch):
         assert np.array_equal(getattr(series, name), getattr(expected, name))
 
 
+@pytest.mark.parametrize("where", ["start", "middle"])
+def test_nan_fails_the_run_time_checks(where, monkeypatch):
+    # a NaN compares False with anything, so each check must be written to
+    # fail on it; the NaN is player 2's, which Python's max(n1, nan) drops
+    def nan_in_player_2(grid, initial):
+        mu = mu_player(grid, initial).copy()
+        mu[1, 0 if where == "start" else mu.shape[1] // 2] = np.nan
+        return mu
+
+    monkeypatch.setattr(dynamics, "mu_player", nan_in_player_2)
+    with pytest.raises(dynamics.NumericalError, match="'short'"):
+        decision_series(SHORT)
+
+
 def test_make_times():
     t = make_times(0.5, 1e-4)
     assert len(t) == 5001
@@ -638,6 +652,22 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_api_is_its_modules_all():
+    # each public name is declared once, in its module's __all__, and the
+    # package re-exports the union of those lists, with no name twice
+    from qduet import analysis, model, oracle
+    modules = (algebra, analysis, dynamics, model, oracle)
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert set(qduet.__all__) == {"__version__", *declared}
+    assert len(qduet.__all__) == len(declared) + 1
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qduet, name) is getattr(module, name), name
+    assert not hasattr(qduet, "conditional_runs")
+    assert not hasattr(dynamics, "conditional_runs")
 
 
 def test_decision_series_free_case_constant():

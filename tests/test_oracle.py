@@ -264,8 +264,8 @@ def test_ltp_residual_is_the_classical_mix_subtracted(s):
     _, R = ltp_residual(s)
     expected = decision_series(s).n.copy()
     weights = np.abs(s.initial.amplitudes) ** 2
-    for w, n in zip(weights, dynamics.conditional_runs(s)):
-        expected -= w * n
+    for w, n in zip(weights, dynamics.conditional_stack(s)):
+        expected -= w * n.T
     assert np.abs(R - expected).max() <= 4 * EPS
 
 
@@ -279,15 +279,15 @@ def test_conditional_runs_are_views_of_one_kept_array(monkeypatch):
     s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5))
     series = decision_series(s)
     counts = count_calls(monkeypatch, "mu_player", "delta_mu")
-    runs = dynamics.conditional_runs(s)
-    stack = _kept_context().conditional_n
+    stack = dynamics.conditional_stack(s)
     nt = len(series.times)
     assert counts == {"mu_player": 4, "delta_mu": 0}
+    assert stack is _kept_context().conditional_n
     assert stack.shape == (4, 2, nt) and stack.flags.c_contiguous
     assert not stack.flags.writeable
     assert dynamics.conditional_stack(s) is stack
-    assert len(runs) == 4
-    for n in runs + dynamics.conditional_runs(s):
+    runs = [n.T for n in stack]
+    for n in runs:
         assert n.base is stack and not n.flags.writeable
         assert n.shape == (nt, 2) and n.strides == series.n.strides
     assert counts == {"mu_player": 4, "delta_mu": 0}
@@ -302,11 +302,10 @@ def test_conditional_runs_are_views_of_one_kept_array(monkeypatch):
 def test_conditional_runs_are_the_runs_from_basis_states(s):
     # mu + nB in each slot is, bit for bit, the n of the full run
     # mu + dmu + nB from that basis state, on every preset and ep-1 to ep-3
-    runs = dynamics.conditional_runs(s)
-    for n, (k, l) in zip(runs, BASES):
+    for n, (k, l) in zip(dynamics.conditional_stack(s), BASES):
         run = decision_series(dataclasses.replace(
             s, initial=InitialState.basis_state(k, l)))
-        assert n.tobytes() == run.n.tobytes()
+        assert n.T.tobytes() == run.n.tobytes()
 
 
 def test_conditional_stack_builds_without_delta_mu(monkeypatch):
@@ -333,6 +332,24 @@ def test_failed_conditional_check_names_its_run(monkeypatch):
 
     monkeypatch.setattr(dynamics, "mu_player", third_run_starts_off)
     with pytest.raises(NumericalError, match=r"Born marginals .*'mixed\|phi01'"):
+        dynamics.conditional_stack(s)
+    assert _kept_context().conditional_n is None
+
+
+@pytest.mark.parametrize("where", ["start", "middle"])
+def test_nan_in_a_conditional_run_fails_its_check(where, monkeypatch):
+    s = base_scenario(InitialState(0.5j, -0.5j, 0.5, -0.5), label="mixed")
+    calls = []
+
+    def nan_in_third_run(grid, initial):
+        calls.append(1)
+        mu = mu_player(grid, initial).copy()
+        if len(calls) == 3:
+            mu[1, 0 if where == "start" else mu.shape[1] // 2] = np.nan
+        return mu
+
+    monkeypatch.setattr(dynamics, "mu_player", nan_in_third_run)
+    with pytest.raises(NumericalError, match=r"'mixed\|phi01'"):
         dynamics.conditional_stack(s)
     assert _kept_context().conditional_n is None
 
@@ -376,8 +393,8 @@ def test_interference_is_a_transient(name, dt):
     assert np.abs(R).max() > 0.1
     assert np.abs(R[tail]).max() <= 1e-9
     n = decision_series(s).n
-    for conditional_n in dynamics.conditional_runs(s):
-        assert np.abs(conditional_n[tail] - n[tail]).max() <= 1e-9
+    for conditional_n in dynamics.conditional_stack(s):
+        assert np.abs(conditional_n.T[tail] - n[tail]).max() <= 1e-9
 
 
 def test_phase_sweep_builds_one_grid(monkeypatch):
