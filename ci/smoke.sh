@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Smoke test of the installed `qduet` command (the [project.scripts] entry
+# point, which the tests never call: they use cli.main or python -m qduet).
+#
+# Usage: bash ci/smoke.sh   (with `qduet` on PATH)
+#
+# Fails unless the propagator defect it prints is at rounding scale
+# (5.4e-15 on fig1-left), and so is the LTP residual's distance to dmu
+# (1.9e-16 on fig1-left, 1.4e-16 to 2.3e-16 on the presets); at an
+# exceptional point the run must take the table route and its defect be at
+# rounding scale too (2.2e-16).  Outputs go to $RUNNER_TEMP when it is set,
+# else to a new temporary directory.
+set -eo pipefail
+
+tmp=${RUNNER_TEMP:-$(mktemp -d)}
+
+# exit 0 when the float $1 is at most $2; an empty $1 is not a float
+at_most() {
+  python -c 'import sys; sys.exit(0 if float(sys.argv[1]) <= float(sys.argv[2]) else 1)' "$1" "$2"
+}
+
+qduet --list-presets
+qduet --preset fig1-left --oracle --out "$tmp/smoke" > "$tmp/smoke.out"
+cat "$tmp/smoke.out"
+defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .*/\1/p' "$tmp/smoke.out")
+at_most "$defect" 1e-13
+
+qduet --preset fig1-left --ltp --no-csv --out "$tmp/smoke" > "$tmp/ltp.out"
+cat "$tmp/ltp.out"
+ident=$(sed -n 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' "$tmp/ltp.out")
+at_most "$ident" 1e-14
+
+# omega = Omega = (1, 1), lambda_j = sqrt(Gamma_j / pi) with Gamma = (2, 1)
+# and mu_ex = 0.5: U is defective
+cat > "$tmp/ep.json" <<'JSON'
+{"omega1": 1.0, "omega2": 1.0, "Omega1": 1.0, "Omega2": 1.0,
+ "lambda1": 0.7978845608028654, "lambda2": 0.5641895835477563,
+ "mu_ex": 0.5, "mu_coop": 0.0, "N1": 0.0, "N2": 1.0,
+ "alpha": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
+ "t_max": 5.0, "dt": 0.001, "label": "ep"}
+JSON
+qduet --scenario "$tmp/ep.json" --oracle --no-csv --out "$tmp/smoke" > "$tmp/ep.out"
+cat "$tmp/ep.out"
+# empty, and so not a float, unless the line ends in (fallback)
+defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .* (fallback)$/\1/p' "$tmp/ep.out")
+at_most "$defect" 1e-13
+
+# a second source is a usage error: exit status 1
+status=0
+qduet --list-presets --preset fig1-left || status=$?
+test "$status" -eq 1

@@ -1,4 +1,4 @@
-"""From decision functions to decisions: odds, timing, asymptotics, noise.
+"""From decision functions to decisions: odds, timing, noise.
 
 The decision function n_j(t) is read as player j's subjective probability
 of selecting strategy 1 at time t.  A decision is made once the function
@@ -19,10 +19,10 @@ floating point; the tolerance is 1e-6).  Values of n_j are clamped to
 past the bounds; the raw series is left untouched and bound checks run
 on raw values.
 
-asymptotics summarizes the trailing part of the run (mean, max - min,
-converged flag) and noise_metric reports the standard deviation over a
-chosen window, the statistic used to compare amplitude configurations
-with and without relative phases.
+noise_metric reports the standard deviation over a chosen window, the
+statistic used to compare amplitude configurations with and without
+relative phases.  Where the curves settle for large t is not read from
+the grid: dynamics.stationary_limit gives the exact limit from the model.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ from .dynamics import DecisionSeries
 
 __all__ = [
     "DecisionOutcome",
-    "AsymptoticsReport",
     "odds",
     "decision_time",
-    "asymptotics",
     "noise_metric",
     "ODDS_TOL",
 ]
@@ -65,17 +63,6 @@ class DecisionOutcome:
     decision: int | str | None
     epsilon: float
     window: float
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    """Tail statistics per player over the trailing tail_fraction of the grid."""
-
-    mean: tuple[float, float]
-    fluctuation: tuple[float, float]
-    converged: tuple[bool, bool]
-    tail_start: float
-    epsilon: float
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
@@ -178,26 +165,6 @@ def decision_time(series: DecisionSeries, epsilon: float = 0.01,
                 player=j + 1, tau=None, odds_at_tau=None, decision=None,
                 epsilon=epsilon, window=window))
     return outcomes[0], outcomes[1]
-
-
-def asymptotics(series: DecisionSeries, tail_fraction: float = 0.2,
-                epsilon: float = 0.01) -> AsymptoticsReport:
-    """Mean and fluctuation of each decision function over the grid tail."""
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
-    nt = len(series.times)
-    start = nt - max(2, int(round(tail_fraction * nt)))
-    start = max(0, start)
-    tail = series.n[start:]
-    mean = tail.mean(axis=0)
-    fluct = tail.max(axis=0) - tail.min(axis=0)
-    return AsymptoticsReport(
-        mean=(float(mean[0]), float(mean[1])),
-        fluctuation=(float(fluct[0]), float(fluct[1])),
-        converged=(bool(fluct[0] < epsilon), bool(fluct[1] < epsilon)),
-        tail_start=float(series.times[start]),
-        epsilon=epsilon,
-    )
 
 
 def noise_metric(series: DecisionSeries, window: tuple[float, float]) -> tuple[float, float]:

@@ -18,7 +18,8 @@ t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2, 17 significant digits) and optionally
 `<label>_n1.svg`, `<label>_n2.svg` line charts and `<label>_ltp.csv`
 (columns t,R1,R2, the law-of-total-probability residuals).  All outputs
 are deterministic: rerunning a configuration reproduces the files byte
-for byte.
+for byte.  Each run also prints each player's exact limit n(inf)
+(dynamics.stationary_limit) and its distance at t_max.
 
 Tables are written in blocks of _BLOCK_ROWS rows, so the file never
 exists as one array or one string.  The bytes are those numpy's savetxt
@@ -54,6 +55,7 @@ from .dynamics import (
     NumericalError,
     decision_series,
     scenario_grid,
+    stationary_limit,
 )
 from .model import (
     CALPHA1,
@@ -292,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=float, default=None, metavar="F",
                         help="observation window for the decision rule "
                              "(default: 10%% of t_max)")
-    parser.add_argument("--tail", type=float, default=0.2, metavar="F",
-                        help="tail fraction for asymptotics")
     parser.add_argument("--t-max", type=float, default=None, metavar="F",
                         help="override the scenario's t_max")
     parser.add_argument("--dt", type=float, default=None, metavar="F",
@@ -330,13 +330,13 @@ def run_one(s: Scenario, args: argparse.Namespace) -> None:
                       title=f"{s.label}: n{j}(t)", ylabel=f"n{j}")
             print(f"wrote {svg_path}")
 
-    report = analysis.asymptotics(series, tail_fraction=args.tail,
-                                  epsilon=args.epsilon)
+    limit = stationary_limit(s.params, s.reservoir)
     for j in (1, 2):
-        print(f"asymptotics player {j} (tail from t={report.tail_start:.6g}): "
-              f"mean={report.mean[j - 1]:.6g} "
-              f"fluctuation={report.fluctuation[j - 1]:.6g} "
-              f"converged={report.converged[j - 1]}")
+        if limit is None:
+            print(f"limit player {j}: not certified (an undamped player)")
+        else:
+            print(f"limit player {j}: n(inf)={limit[j - 1]:.6g} "
+                  f"|n(t_max) - n(inf)|={abs(series.n[-1, j - 1] - limit[j - 1]):.3g}")
     for outcome in analysis.decision_time(series, epsilon=args.epsilon,
                                           window=args.window):
         print(_outcome_line(outcome))
@@ -383,8 +383,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             if v is not None}
     scenarios = [dataclasses.replace(s, **grid) for s in scenarios]
     # check the analysis settings before any run writes a file
-    if not 0.0 < args.tail < 1.0:
-        raise ScenarioError(f"--tail must lie in (0, 1), got {args.tail}")
     for s in scenarios:
         try:
             analysis._rule_window(args.epsilon, args.window,

@@ -27,7 +27,7 @@ for a Hermitian 4x4 weight W:
     propagator route.  A decoupled player (lambda_j = 0) makes the
     equation singular; any least-squares N is still exact, because a null
     solution X obeys A X + X A^dag = 0, is constant under the flow and
-    cancels.
+    cancels.  Where V(t) -> 0, n_j -> -2 pi Re N_jj: stationary_limit.
 
 A propagator grid is a value of (U, t_max, dt): its times are
 make_times(t_max, dt), its generator a read-only copy of U, and of V it
@@ -127,6 +127,7 @@ __all__ = [
     "mu_player",
     "delta_mu",
     "bath_contribution",
+    "stationary_limit",
     "scenario_grid",
     "decision_series",
     "conditional_stack",
@@ -349,15 +350,10 @@ def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     return _player_forms(grid, np.where(_DIAGONAL, 0, _gram(initial)))
 
 
-def bath_contribution(reservoir: ReservoirState, params: ModelParams,
-                      grid: PropagatorGrid) -> np.ndarray:
-    """Bath part of both decision functions on the grid.
-
-    nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) with N the least-squares
-    solution of A N + N A^dag = D, A = i grid.generator, exact on either
-    propagator route.  Shape as in mu_player.
-    """
-    A = 1j * grid.generator
+def _bath_solution(U: np.ndarray, params: ModelParams,
+                   reservoir: ReservoirState) -> np.ndarray:
+    """The least-squares 4x4 N of A N + N A^dag = D, A = i U; no grid."""
+    A = 1j * U
     k1 = params.lambda1 ** 2 / params.Omega1
     k2 = params.lambda2 ** 2 / params.Omega2
     N1, N2 = reservoir.N1, reservoir.N2
@@ -370,10 +366,38 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
     # fig2 and fig6 tables move by up to 4.4e-16.  A decoupled player's
     # feed is exactly zero either way.
     N[np.abs(N) < 1e-14 * np.abs(N).max()] = 0.0
-    f = _player_forms(grid, N.reshape(4, 4).T)
+    return N.reshape(4, 4)
+
+
+def bath_contribution(reservoir: ReservoirState, params: ModelParams,
+                      grid: PropagatorGrid) -> np.ndarray:
+    """Bath part of both decision functions on the grid.
+
+    nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) with N the least-squares
+    solution of A N + N A^dag = D, A = i grid.generator, from the solve
+    stationary_limit shares; exact on either route.  Shape as in mu_player.
+    """
+    N = _bath_solution(grid.generator, params, reservoir)
+    f = _player_forms(grid, N.T)
     f -= f[:, :1].copy()
     f *= 2.0 * np.pi
     return f
+
+
+def stationary_limit(params: ModelParams,
+                     reservoir: ReservoirState) -> tuple[float, float] | None:
+    """(n1(inf), n2(inf)) = -2 pi Re (N_11, N_22), N of bath_contribution.
+
+    Only if both Gamma_j > 0: then A + A^dag = -2 diag(Gamma1, Gamma2,
+    Gamma1, Gamma2) is negative definite, so ||V(t)||_2 <= exp(-Gamma_min t)
+    and |n_j(t) - n_j(inf)| <= ||G + 2 pi N^T||_2 exp(-2 Gamma_min t) for
+    any initial Gram matrix G.  An undamped player gives None.  No grid.
+    """
+    if not (params.gamma1 > 0.0 and params.gamma2 > 0.0):
+        return None
+    N = _bath_solution(build_generator(params), params, reservoir)
+    n1, n2 = -2.0 * np.pi * N.diagonal()[:2].real + 0.0  # no -0.0
+    return float(n1), float(n2)
 
 
 @dataclass

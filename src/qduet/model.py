@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -92,11 +93,13 @@ class ScenarioError(ValueError):
     """Invalid model input: domain violation, normalization or grid failure."""
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not isinstance(value, numbers.Real):
+def _require_finite(name: str, value: float) -> float:
+    """value as a float if it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past any float
         raise ScenarioError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class InitialState:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, numbers.Complex):
+            if isinstance(value, bool) or not isinstance(value, numbers.Complex):
                 raise ScenarioError(f"{f.name} must be a complex number, got {value!r}")
         total = (abs(self.a00) ** 2 + abs(self.a10) ** 2
                  + abs(self.a01) ** 2 + abs(self.a11) ** 2)
@@ -398,23 +401,26 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _from_fields(cls, d: dict):
-    """cls built from the values of d under its field names, as floats."""
-    return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+    """cls built from the numbers of d under its field names, as floats."""
+    return cls(**{f.name: _require_finite(f.name, d[f.name]) for f in fields(cls)})
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Build a scenario from the plain-data form; validates all fields."""
+    """Build a scenario from the plain-data form; validates all fields (a
+    value of the wrong JSON type, such as "1.0", true or null, included)."""
     try:
         alpha = d["alpha"]
         if len(alpha) != 4:
             raise ScenarioError(f"alpha must hold 4 [re, im] pairs, got {len(alpha)}")
-        amps = [complex(float(re), float(im)) for re, im in alpha]
+        amps = [complex(_require_finite(f"alpha[{k}][0]", re),
+                        _require_finite(f"alpha[{k}][1]", im))
+                for k, (re, im) in enumerate(alpha)]
         return Scenario(
             params=_from_fields(ModelParams, d),
             reservoir=_from_fields(ReservoirState, d),
             initial=InitialState.from_amplitudes(amps),
-            t_max=float(d["t_max"]), dt=float(d["dt"]),
-            label=str(d.get("label", "scenario")),
+            t_max=_require_finite("t_max", d["t_max"]), dt=_require_finite("dt", d["dt"]),
+            label=d.get("label", "scenario"),
         )
     except KeyError as exc:
         raise ScenarioError(f"scenario document is missing key {exc}") from exc

@@ -1,4 +1,4 @@
-"""Decision analysis: odds, decision time, asymptotics, noise."""
+"""Decision analysis: odds, decision time, noise."""
 
 import dataclasses
 import math
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qduet.analysis import (
     _window_spans,
-    asymptotics,
     decision_time,
     noise_metric,
     odds,
@@ -166,43 +165,6 @@ def test_decision_time_is_linear_in_the_horizon():
     o1, o2 = decision_time(series, epsilon=0.01)
     assert time.perf_counter() - start < 2.0
     assert o1.tau is not None and o2.tau is None
-
-
-def test_asymptotics_constant_series():
-    series = synthetic(np.full(100, 0.42), np.full(100, 0.13))
-    report = asymptotics(series, tail_fraction=0.2)
-    assert report.mean == pytest.approx((0.42, 0.13), abs=1e-15)
-    assert report.fluctuation == pytest.approx((0.0, 0.0), abs=1e-15)
-    assert report.converged == (True, True)
-
-
-def test_asymptotics_decoupled_limit():
-    # bath relaxation drives the decision function to the occupation N1
-    params = ModelParams(omega1=1.0, omega2=2.0, Omega1=0.1, Omega2=0.1,
-                         lambda1=0.5, lambda2=0.0, mu_ex=0.0, mu_coop=0.0)
-    s = Scenario(params=params, reservoir=ReservoirState(0.75, 0.0),
-                 initial=InitialState.basis_state(1, 0),
-                 t_max=round(10.0 / params.gamma1, 4), dt=1e-4, label="relax")
-    report = asymptotics(decision_series(s), tail_fraction=0.1)
-    assert report.mean[0] == pytest.approx(0.75, abs=1e-3)
-    assert report.converged[0]
-
-
-def test_asymptotics_mean_reversal_invariant():
-    rng = np.random.default_rng(3)
-    values = rng.uniform(0, 1, size=500)
-    series = synthetic(values, values[::-1])
-    fwd = asymptotics(series, tail_fraction=1.0 - 1e-9)
-    rev = asymptotics(synthetic(values[::-1], values), tail_fraction=1.0 - 1e-9)
-    assert fwd.mean[0] == pytest.approx(rev.mean[0], abs=1e-12)
-
-
-def test_asymptotics_tail_fraction_validation():
-    series = synthetic(np.full(10, 0.5), np.full(10, 0.5))
-    with pytest.raises(ValueError):
-        asymptotics(series, tail_fraction=0.0)
-    with pytest.raises(ValueError):
-        asymptotics(series, tail_fraction=1.5)
 
 
 def test_noise_metric_constant_is_zero():

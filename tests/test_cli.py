@@ -20,7 +20,7 @@ from conftest import count_calls, empty_slots
 from test_g17 import hard_values
 from qduet import _g17, cli, oracle
 from qduet.cli import CSV_HEADER, list_presets, main, read_csv, write_csv, write_svg
-from qduet.dynamics import DecisionSeries, decision_series
+from qduet.dynamics import DecisionSeries, decision_series, stationary_limit
 from qduet.model import PRESETS, ScenarioError, save_scenario, scenario_to_dict
 
 
@@ -56,7 +56,7 @@ def test_run_preset_writes_outputs(tmp_path, capsys):
         svg = (tmp_path / f"fig6-left_n{j}.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
-    assert "asymptotics player 1" in out
+    assert "limit player 1" in out
     assert "decision player 2" in out
 
 
@@ -203,13 +203,40 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
     assert float(dev_line.rsplit(" ", 1)[1]) < 1e-8
 
 
+def test_limit_lines(tmp_path, capsys):
+    # each player's exact limit, and the distance the run ends at; a
+    # player with no damping has no certified limit
+    s = PRESETS["fig3-left"]
+    code, out, err = run_cli(["--preset", "fig3-left", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    limit = stationary_limit(s.params, s.reservoir)
+    last = read_csv(tmp_path / "fig3-left.csv").n[-1]
+    lines = [l for l in out.splitlines() if l.startswith("limit player")]
+    assert lines == [f"limit player {j}: n(inf)={limit[j - 1]:.6g} "
+                     f"|n(t_max) - n(inf)|={abs(last[j - 1] - limit[j - 1]):.3g}"
+                     for j in (1, 2)]
+    assert lines[0] == "limit player 1: n(inf)=0.3287 |n(t_max) - n(inf)|=0.0171"
+    for lambdas in ((0.0, 0.0), (0.5, 0.0)):
+        path = tmp_path / "undamped.json"
+        d = scenario_to_dict(PRESETS["fig6-left"])
+        d.update(lambda1=lambdas[0], lambda2=lambdas[1], t_max=0.05)
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(["--scenario", str(path), "--no-csv"], capsys)
+        assert code == 0, err
+        assert [l for l in out.splitlines() if l.startswith("limit player")] == [
+            f"limit player {j}: not certified (an undamped player)" for j in (1, 2)]
+    # the tail statistics and their --tail setting are gone
+    code, out, err = run_cli(["--preset", "fig3-left", "--tail", "0.2"], capsys)
+    assert code == 1 and "unrecognized arguments: --tail" in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--window", "5"], "exceeds the run length"),
     (["--window", "0"], "window must be positive"),
     (["--window", "nan"], "window must be positive"),
     (["--epsilon", "-1"], "epsilon must be positive"),
     (["--epsilon", "nan"], "epsilon must be positive"),
-    (["--tail", "2"], "--tail"),
+    (["--window", "inf"], "window must be positive"),
     (["--all-presets", "--t-max", "0.2", "--window", "0.3"], "exceeds"),
     # dt 0.4 does not divide t_max 0.5, so the grid could not end at 0.5
     (["--t-max", "0.5", "--dt", "0.4", "--window", "0.5"],
@@ -271,14 +298,16 @@ def test_each_run_builds_one_propagator(tmp_path, capsys, monkeypatch):
     # Each distinct run is assembled once (one mu_player call each): --ltp
     # reuses the run itself, and fig*-right reuses fig*-left's conditional
     # runs.  The eight presets hold four contexts.  U is built once per
-    # context, for its grid; the bath solve and --oracle read the grid's copy
+    # context, for its grid, and the bath solve and --oracle read the
+    # grid's copy; each run's limit line builds it once more, since
+    # stationary_limit needs no grid
     names = ("propagator", "mu_player", "bath_contribution", "build_generator")
     counts = count_calls(monkeypatch, *names)
     common = ["--t-max", "0.05", "--no-csv", "--out", str(tmp_path)]
     one = ["--preset", "fig6-left"]
-    for argv, expected in ((one, (1, 1, 1, 1)),
-                           (one + ["--ltp", "--oracle"], (1, 5, 1, 1)),
-                           (["--all-presets", "--ltp"], (4, 24, 4, 4))):
+    for argv, expected in ((one, (1, 1, 1, 2)),
+                           (one + ["--ltp", "--oracle"], (1, 5, 1, 2)),
+                           (["--all-presets", "--ltp"], (4, 24, 4, 12))):
         empty_slots()
         counts.clear()
         code, _, err = run_cli(argv + common, capsys)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from conftest import amplitude_vectors, empty_slots, grid_rows
 import qduet
@@ -26,6 +26,7 @@ from qduet.dynamics import (
     mu_player,
     propagator,
     scenario_grid,
+    stationary_limit,
 )
 from qduet.model import (
     PRESETS,
@@ -52,13 +53,22 @@ def make_scenario(params, initial, N1=0.0, N2=0.0, t_max=1.0, dt=1e-3,
                     initial=initial, t_max=t_max, dt=dt, label=label)
 
 
-def exceptional_params(detune=0.0, g1=2.0, g2=1.0, omega=1.0):
-    # equal inertias with exchange balancing the damping mismatch put the
-    # generator at an exceptional point; detune moves mu_ex off it
-    return make_params(omega1=omega, omega2=omega, Omega1=1.0, Omega2=1.0,
-                       lambda1=math.sqrt(g1 / math.pi),
-                       lambda2=math.sqrt(g2 / math.pi),
-                       mu_ex=abs(g1 - g2) / 2.0 + detune)
+def exceptional_params(detune=0.0, g1=2.0, g2=1.0, omega=1.0, family="exchange"):
+    # two families put the generator at an exceptional point: equal
+    # inertias with exchange balancing the damping mismatch, and opposite
+    # inertias with cooperation balancing it (at omega = 1 and
+    # Gamma = (2, 1) U has the double eigenvalues -1 + 1.5i and
+    # 1 + 1.5i); detune moves the coupling off the point
+    coupling = abs(g1 - g2) / 2.0 + detune
+    common = dict(Omega1=1.0, Omega2=1.0, lambda1=math.sqrt(g1 / math.pi),
+                  lambda2=math.sqrt(g2 / math.pi))
+    if family == "exchange":
+        return make_params(omega1=omega, omega2=omega, mu_ex=coupling, **common)
+    assert family == "cooperation"
+    return make_params(omega1=omega, omega2=-omega, mu_coop=coupling, **common)
+
+
+exceptional_families = st.sampled_from(["exchange", "cooperation"])
 
 
 params_strategy = st.builds(
@@ -312,10 +322,11 @@ exceptional_detunes = st.one_of(
 
 @given(detune=exceptional_detunes, g1=st.floats(0.05, 3.0),
        g2=st.floats(0.05, 3.0), omega=st.floats(-2.0, 2.0),
-       t_max=st.floats(0.5, 20.0))
+       t_max=st.floats(0.5, 20.0), family=exceptional_families)
 @settings(deadline=None, max_examples=80)
-def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max):
-    U = build_generator(exceptional_params(detune, g1, g2, omega))
+def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max,
+                                                   family):
+    U = build_generator(exceptional_params(detune, g1, g2, omega, family))
     grid = propagator(U, t_max, t_max / 2000)
     times = grid.times
 
@@ -405,14 +416,15 @@ def test_routes_agree_on_presets(s, monkeypatch):
 
 @given(detune=exceptional_detunes, g1=st.floats(0.05, 3.0),
        g2=st.floats(0.05, 3.0), omega=st.floats(-2.0, 2.0),
-       t_max=st.floats(0.5, 20.0), alpha=amplitude_vectors())
+       t_max=st.floats(0.5, 20.0), alpha=amplitude_vectors(),
+       family=exceptional_families)
 @settings(deadline=None, max_examples=60)
 def test_forms_match_expm_on_and_near_exceptional_points(detune, g1, g2, omega,
-                                                          t_max, alpha):
+                                                          t_max, alpha, family):
     # 1e-14 on the table route; the eigen route's V itself rounds at the
     # scale n eps cond(P), n = 4 (see the propagator test above), which
     # passes 1e-14 once cond(P) exceeds ~10
-    U = build_generator(exceptional_params(detune, g1, g2, omega))
+    U = build_generator(exceptional_params(detune, g1, g2, omega, family))
     grid = propagator(U, t_max, t_max / 2000)
     tol = 1e-14
     if not grid.used_fallback:
@@ -547,6 +559,94 @@ def test_product_forms_match_elementwise_forms(s, route, monkeypatch):
                      (dynamics._player_forms(grid, HERMITIAN), HERMITIAN)):
         assert forms.shape == (2, len(grid.times))
         assert np.abs(forms - elementwise_forms(grid, W)).max() <= 8 * EPS * scale
+
+
+# S swaps (b1, b2) with (b1^dag, b2^dag)
+SWAP = np.eye(4)[[2, 3, 0, 1]]
+COOPERATION_EP = make_scenario(exceptional_params(family="cooperation"),
+                               InitialState(0.5j, -0.5j, 0.5, -0.5), N1=0.0,
+                               N2=1.0, t_max=5.0, dt=1e-3, label="coop-ep")
+SYMMETRY_CASES = ([(PRESETS[name], route) for name in sorted(PRESETS)
+                   for route in ("eigendecomposition", "fallback")]
+                  + [(ep_scenario(1), "fallback"), (COOPERATION_EP, "fallback")])
+
+
+@pytest.mark.parametrize("s, route", SYMMETRY_CASES,
+                         ids=[f"{s.label}-{route}" for s, route in SYMMETRY_CASES])
+def test_particle_hole_symmetry(s, route, monkeypatch):
+    # U = -S conj(U) S, the particle-hole symmetry of a Bogoliubov-de
+    # Gennes generator, holds exactly; so V(t) = exp(i U t) = S conj(V) S,
+    # which every inner matrix meets to rounding (3.0e-16 at most on the
+    # presets), a check that needs no reference exponential
+    U = build_generator(s.params)
+    assert np.array_equal(U, -SWAP @ U.conj() @ SWAP)
+    if route == "fallback":
+        monkeypatch.setattr(dynamics, "COND_LIMIT", -1)
+    grid = propagator(U, s.t_max, s.dt)
+    assert grid.used_fallback == (route == "fallback")
+    inner = grid.inner.transpose(2, 0, 1)
+    assert (np.abs(inner - SWAP @ inner.conj() @ SWAP).max()
+            <= 8 * EPS * np.abs(inner).max())
+
+
+def lyapunov_solution(params, reservoir):
+    """N of A N + N A^dag = D, A = i U, by scipy's Bartels-Stewart solver."""
+    k1 = params.lambda1 ** 2 / params.Omega1
+    k2 = params.lambda2 ** 2 / params.Omega2
+    N1, N2 = reservoir.N1, reservoir.N2
+    D = np.diag([k1 * N1, k2 * N2, k1 * (1.0 - N1), k2 * (1.0 - N2)])
+    return solve_continuous_lyapunov(1j * build_generator(params), D)
+
+
+def assert_limit_matches_lyapunov(params, reservoir):
+    limit = stationary_limit(params, reservoir)
+    expected = -2.0 * np.pi * lyapunov_solution(params, reservoir).diagonal()[:2].real
+    assert np.abs(np.subtract(limit, expected)).max() <= 1e-13
+
+
+LIMIT_CASES = ([PRESETS[name] for name in sorted(PRESETS)]
+               + [ep_scenario(seed) for seed in (1, 2, 3)] + [COOPERATION_EP])
+
+
+@pytest.mark.parametrize("s", LIMIT_CASES, ids=lambda s: s.label)
+def test_stationary_limit_matches_lyapunov_solver(s):
+    assert_limit_matches_lyapunov(s.params, s.reservoir)
+
+
+@given(params=st.builds(
+           make_params,
+           omega1=st.floats(-3, 3), omega2=st.floats(-3, 3),
+           Omega1=st.floats(0.1, 2.0), Omega2=st.floats(0.1, 2.0),
+           lambda1=st.floats(0.2, 1.0), lambda2=st.floats(0.2, 1.0),
+           mu_ex=st.floats(-3, 3), mu_coop=st.floats(-3, 3)),
+       N1=st.floats(0.0, 1.0), N2=st.floats(0.0, 1.0))
+@settings(deadline=None, max_examples=100)
+def test_stationary_limit_matches_lyapunov_solver_on_damped_draws(params, N1, N2):
+    # Gamma_j >= 0.063: the worst of 20000 seeded draws and of the
+    # parameter box's corners read 4.4e-14
+    assert_limit_matches_lyapunov(params, ReservoirState(N1, N2))
+
+
+@pytest.mark.parametrize("lambdas", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)])
+def test_undamped_player_has_no_certified_limit(lambdas):
+    # (0.5, 0) is acceptance criterion 4's decoupled player
+    params = make_params(lambda1=lambdas[0], lambda2=lambdas[1])
+    assert stationary_limit(params, ReservoirState(0.75, 0.25)) is None
+
+
+@pytest.mark.parametrize("s", LIMIT_CASES, ids=lambda s: s.label)
+def test_runs_approach_the_limit_within_the_certificate(s):
+    # n_j(t) - n_j(inf) = f_j^W(t) with W = G + 2 pi N^T, and
+    # ||V(t)||_2 <= exp(-Gamma_min t), so the distance is at most
+    # ||W||_2 exp(-2 Gamma_min t) at every grid point; the bound is sharp
+    # (0.93 of it on fig2-right), so it carries a rounding floor
+    s = dataclasses.replace(s, t_max=4.0)
+    series = decision_series(s)
+    W = gram(s.initial) + 2.0 * np.pi * lyapunov_solution(s.params, s.reservoir).T
+    gamma = min(s.params.gamma1, s.params.gamma2)
+    bound = np.linalg.norm(W, 2) * np.exp(-2.0 * gamma * series.times) + 64 * EPS
+    distance = np.abs(series.n - stationary_limit(s.params, s.reservoir))
+    assert np.all(distance <= bound[:, None])
 
 
 def test_mu_player_identity_propagator():

@@ -218,6 +218,13 @@ def test_wrong_typed_parameter_is_a_scenario_error():
         ReservoirState(0.5, None)
     with pytest.raises(ScenarioError, match="^a10 must be a complex number"):
         InitialState(1.0, "0", 0.0, 0.0)
+    # a bool is a number to Python, but not a rate or an amplitude
+    with pytest.raises(ScenarioError, match="^lambda1 must be a real number"):
+        make_params(lambda1=True)
+    with pytest.raises(ScenarioError, match="^N1 must be a real number"):
+        ReservoirState(False, 1.0)
+    with pytest.raises(ScenarioError, match="^a00 must be a complex number"):
+        InitialState(True, 0.0, 0.0, 0.0)
 
 
 def slow_scenario(t_max, dt):
@@ -340,6 +347,28 @@ def test_scenario_document_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(bad)
+    # a value of the wrong JSON type is an error naming its key, never
+    # converted: a string, a bool, null, or an int past the largest float
+    alpha = [list(pair) for pair in d["alpha"]]
+    for key, value, message in (
+            ("omega1", "1.0", "^omega1 must be a real number"),
+            ("omega1", True, "^omega1 must be a real number"),
+            ("N2", None, "^N2 must be a real number"),
+            ("t_max", "0.5", "^t_max must be a real number"),
+            ("dt", 10 ** 400, "^dt must be finite"),
+            ("alpha", [["0.5", False]] + alpha[1:], r"^alpha\[0\]\[0\] must be a real"),
+            ("alpha", [[0.5, False]] + alpha[1:], r"^alpha\[0\]\[1\] must be a real"),
+            ("alpha", alpha[:3] + ["ab"], r"^alpha\[3\]\[0\] must be a real"),
+            ("alpha", "abcd", "malformed scenario document"),
+            ("label", None, "^label must be of type str")):
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict({**d, key: value})
+    # JSON integers are numbers
+    whole = {**d, "omega1": 1, "N1": 0, "N2": 1, "t_max": 1,
+             "alpha": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+    s = scenario_from_dict(whole)
+    assert s.params.omega1 == 1.0 and s.t_max == 1.0
+    assert s.initial == InitialState.basis_state(0, 0)
 
 
 def test_scenario_file_encodings(tmp_path):
