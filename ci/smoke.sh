@@ -8,8 +8,10 @@
 # (5.4e-15 on fig1-left), and so is the LTP residual's distance to dmu
 # (1.9e-16 on fig1-left, 1.4e-16 to 2.3e-16 on the presets); at an
 # exceptional point the run must take the table route and its defect be at
-# rounding scale too (2.2e-16).  Outputs go to $RUNNER_TEMP when it is set,
-# else to a new temporary directory.
+# rounding scale too (2.2e-16).  At the cooperation exceptional point both
+# the defect and the LTP distance must be at rounding scale (2.4e-16 and
+# 2.2e-16), on whichever route it takes.  Outputs go to $RUNNER_TEMP when
+# it is set, else to a new temporary directory.
 set -eo pipefail
 
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
@@ -44,6 +46,23 @@ cat "$tmp/ep.out"
 # empty, and so not a float, unless the line ends in (fallback)
 defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .* (fallback)$/\1/p' "$tmp/ep.out")
 at_most "$defect" 1e-13
+
+# omega = (1, -1), Gamma = (2, 1), mu_coop = 0.5 and mu_ex = 0: U has two
+# double eigenvalues.  cond(P) is just under the eigen route's limit, so
+# the route is not gated
+cat > "$tmp/coop.json" <<'JSON'
+{"omega1": 1.0, "omega2": -1.0, "Omega1": 1.0, "Omega2": 1.0,
+ "lambda1": 0.7978845608028654, "lambda2": 0.5641895835477563,
+ "mu_ex": 0.0, "mu_coop": 0.5, "N1": 0.0, "N2": 1.0,
+ "alpha": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
+ "t_max": 5.0, "dt": 0.001, "label": "coop"}
+JSON
+qduet --scenario "$tmp/coop.json" --oracle --ltp --no-csv --out "$tmp/smoke" > "$tmp/coop.out"
+cat "$tmp/coop.out"
+defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .*/\1/p' "$tmp/coop.out")
+at_most "$defect" 1e-13
+ident=$(sed -n 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' "$tmp/coop.out")
+at_most "$ident" 1e-14
 
 # a second source is a usage error: exit status 1
 status=0

@@ -44,7 +44,6 @@ import contextlib
 import dataclasses
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,6 @@ from .model import (
     C1,
     C2,
     PRESETS,
-    STEP_TOL,
     Scenario,
     ScenarioError,
     grid_steps,
@@ -71,7 +69,7 @@ from .model import (
     load_scenario,
 )
 
-__all__ = ["main", "build_parser", "write_csv", "read_csv", "write_svg"]
+__all__ = ["main", "build_parser", "write_csv", "write_svg"]
 
 CSV_HEADER = "t,n1,mu1,dmu1,nB1,n2,mu2,dmu2,nB2"
 
@@ -124,50 +122,6 @@ def write_csv(path: str | Path, series: DecisionSeries) -> None:
         series.times,
         series.n[:, 0], series.mu[:, 0], series.dmu[:, 0], series.nB[:, 0],
         series.n[:, 1], series.mu[:, 1], series.dmu[:, 1], series.nB[:, 1]))
-
-
-def read_csv(path: str | Path) -> DecisionSeries:
-    """Read a component table back into a series (scenario not recorded).
-
-    A wrong header, a table without data rows, a non-numeric or
-    non-finite cell (nan, inf) or a row of the wrong length raises
-    ScenarioError, and so does a t column that is not a uniform grid from
-    0: fewer than 2 rows, t[0] != 0, or a step that differs from
-    dt = t[1] > 0 by more than STEP_TOL relative.
-    """
-    with open(path) as fh:
-        if fh.readline().strip() != CSV_HEADER:
-            raise ScenarioError(f"{path}: not a decision-series CSV "
-                                f"(expected header {CSV_HEADER!r})")
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below as an error instead
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-    if len(data) == 0:
-        raise ScenarioError(f"{path}: no data rows")
-    if data.shape[1] != 9:
-        raise ScenarioError(f"{path}: expected 9 columns per row")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite)) + 1
-        raise ScenarioError(f"{path}: data row {row} holds a non-finite value")
-    times = data[:, 0]
-    if len(times) < 2:
-        raise ScenarioError(f"{path}: a series needs at least 2 rows")
-    if times[0] != 0.0:
-        raise ScenarioError(f"{path}: t must start at 0, got {times[0]!r}")
-    dt = times[1]
-    if not (dt > 0.0 and np.all(np.abs(np.diff(times) - dt) <= STEP_TOL * dt)):
-        raise ScenarioError(f"{path}: t is not a uniform grid of step t[1] = {dt!r}")
-    return DecisionSeries(
-        times=times,
-        n=data[:, [1, 5]], mu=data[:, [2, 6]],
-        dmu=data[:, [3, 7]], nB=data[:, [4, 8]],
-        scenario=None,
-    )
 
 
 def _escape(text: str) -> str:

@@ -400,6 +400,11 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+# the keys scenario_to_dict writes, the only ones scenario_from_dict reads
+_DOCUMENT_KEYS = frozenset([f.name for cls in (ModelParams, ReservoirState) for f in fields(cls)]
+                           + ["alpha", "t_max", "dt", "label"])
+
+
 def _from_fields(cls, d: dict):
     """cls built from the numbers of d under its field names, as floats."""
     return cls(**{f.name: _require_finite(f.name, d[f.name]) for f in fields(cls)})
@@ -407,8 +412,13 @@ def _from_fields(cls, d: dict):
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a scenario from the plain-data form; validates all fields (a
-    value of the wrong JSON type, such as "1.0", true or null, included)."""
+    value of the wrong JSON type, such as "1.0", true or null, included)
+    and rejects a key scenario_to_dict does not write, such as a misspelt
+    label."""
     try:
+        unknown = sorted(set(d) - _DOCUMENT_KEYS, key=str)
+        if unknown:
+            raise ScenarioError(f"scenario document has unknown keys {unknown}")
         alpha = d["alpha"]
         if len(alpha) != 4:
             raise ScenarioError(f"alpha must hold 4 [re, im] pairs, got {len(alpha)}")

@@ -15,7 +15,6 @@ from qduet.analysis import (
     noise_metric,
     odds,
 )
-from qduet.cli import read_csv, write_csv
 from qduet.dynamics import DecisionSeries, decision_series, make_times
 from qduet.model import (
     PRESETS,
@@ -216,16 +215,13 @@ def test_noise_metric_equals_masked_std(window):
                                                          rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("source", ["run", "read_csv", "C-ordered"])
-def test_noise_metric_matches_per_column_std_bits(source, tmp_path):
+@pytest.mark.parametrize("source", ["run", "C-ordered"])
+def test_noise_metric_matches_per_column_std_bits(source):
     # both players in one reduction over the window's contiguous rows give
-    # the bits of each column's own std, on a run's series, on the series
-    # read back from its table and on a C-ordered (nt, 2) series
+    # the bits of each column's own std, on a run's series and on a
+    # C-ordered (nt, 2) series
     series = decision_series(PRESETS["fig1-right"])
-    if source == "read_csv":
-        write_csv(tmp_path / "run.csv", series)
-        series = read_csv(tmp_path / "run.csv")
-    elif source == "C-ordered":
+    if source == "C-ordered":
         series = dataclasses.replace(series, n=np.ascontiguousarray(series.n))
         assert series.n.flags.c_contiguous
     times = series.times

@@ -331,6 +331,7 @@ def test_saved_presets_keep_their_document(tmp_path):
         path = tmp_path / f"{name}.json"
         save_scenario(s, path)
         assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+        assert load_scenario(path) == s
 
 
 def test_scenario_document_errors(tmp_path):
@@ -360,9 +361,15 @@ def test_scenario_document_errors(tmp_path):
             ("alpha", [[0.5, False]] + alpha[1:], r"^alpha\[0\]\[1\] must be a real"),
             ("alpha", alpha[:3] + ["ab"], r"^alpha\[3\]\[0\] must be a real"),
             ("alpha", "abcd", "malformed scenario document"),
-            ("label", None, "^label must be of type str")):
+            ("label", None, "^label must be of type str"),
+            ("mu_coop2", 1.0, r"^scenario document has unknown keys \['mu_coop2'\]$")):
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict({**d, key: value})
+    # a misspelt optional key is an error too, and every unknown key is
+    # named, sorted
+    lable = {k if k != "label" else "lable": v for k, v in d.items()}
+    with pytest.raises(ScenarioError, match=r"unknown keys \['lable', 'mu_coop2'\]$"):
+        scenario_from_dict({**lable, "mu_coop2": 1.0})
     # JSON integers are numbers
     whole = {**d, "omega1": 1, "N1": 0, "N2": 1, "t_max": 1,
              "alpha": [[1, 0], [0, 0], [0, 0], [0, 0]]}
