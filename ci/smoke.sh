@@ -6,15 +6,18 @@
 #
 # Fails unless the propagator defect it prints is at rounding scale
 # (5.4e-15 on fig1-left), and so is the LTP residual's distance to dmu
-# (1.9e-16 on fig1-left, 1.4e-16 to 2.3e-16 on the presets); at an
-# exceptional point the run must take the table route and its defect be at
-# rounding scale too (2.2e-16).  At the cooperation exceptional point both
-# the defect and the LTP distance must be at rounding scale (2.4e-16 and
-# 2.2e-16), on whichever route it takes.  Outputs go to $RUNNER_TEMP when
-# it is set, else to a new temporary directory.
+# (1.9e-16 on fig1-left, 1.4e-16 to 2.3e-16 on the presets).  Three runs
+# lie above the eigen route's limit, cond(P) <= 1e3, and each must take
+# the table route with its defect at rounding scale: the exchange
+# exceptional point (cond(P) 9.0e7, defect 2.2e-16), a point just off it
+# (cond(P) 3.2e3, 2.1e-16) and the cooperation exceptional point (cond(P)
+# 9.0e7, 2.4e-16, with an LTP distance of 2.2e-16).  Outputs go to
+# $RUNNER_TEMP when it is set, made if missing, else to a new temporary
+# directory.
 set -eo pipefail
 
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
+mkdir -p "$tmp"
 
 # exit 0 when the float $1 is at most $2; an empty $1 is not a float
 at_most() {
@@ -47,9 +50,17 @@ cat "$tmp/ep.out"
 defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .* (fallback)$/\1/p' "$tmp/ep.out")
 at_most "$defect" 1e-13
 
+# mu_ex = 0.5 + 1e-7, just off the point: U is diagonalisable, but
+# cond(P) = 3.2e3 puts it above the eigen route's limit
+sed 's/"mu_ex": 0.5,/"mu_ex": 0.5000001,/; s/"label": "ep"/"label": "band"/' \
+  "$tmp/ep.json" > "$tmp/band.json"
+qduet --scenario "$tmp/band.json" --oracle --no-csv --out "$tmp/smoke" > "$tmp/band.out"
+cat "$tmp/band.out"
+defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .* (fallback)$/\1/p' "$tmp/band.out")
+at_most "$defect" 1e-13
+
 # omega = (1, -1), Gamma = (2, 1), mu_coop = 0.5 and mu_ex = 0: U has two
-# double eigenvalues.  cond(P) is just under the eigen route's limit, so
-# the route is not gated
+# double eigenvalues, and cond(P) = 9.0e7 sends it to the table route
 cat > "$tmp/coop.json" <<'JSON'
 {"omega1": 1.0, "omega2": -1.0, "Omega1": 1.0, "Omega2": 1.0,
  "lambda1": 0.7978845608028654, "lambda2": 0.5641895835477563,
@@ -59,7 +70,7 @@ cat > "$tmp/coop.json" <<'JSON'
 JSON
 qduet --scenario "$tmp/coop.json" --oracle --ltp --no-csv --out "$tmp/smoke" > "$tmp/coop.out"
 cat "$tmp/coop.out"
-defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .*/\1/p' "$tmp/coop.out")
+defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .* (fallback)$/\1/p' "$tmp/coop.out")
 at_most "$defect" 1e-13
 ident=$(sed -n 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' "$tmp/coop.out")
 at_most "$ident" 1e-14

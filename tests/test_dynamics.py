@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, solve_continuous_lyapunov
 
@@ -92,6 +92,21 @@ def stack_bytes(grid):
     """The bytes of the grid's O(sqrt(nt)) arrays."""
     return (grid.outer.nbytes + grid.inner.nbytes + grid.outer_terms.nbytes
             + grid.inner_terms.nbytes)
+
+
+def eigen_cond(U):
+    """cond(P) of U's eigenvector matrix P, the number the route gate reads."""
+    return np.linalg.cond(np.linalg.eig(U)[1])
+
+
+def stack_error(U, grid):
+    """The largest entry of either stack minus scipy's expm at its time."""
+    B = grid.inner.shape[-1]
+    return max(
+        max(np.abs(grid.outer[..., q] - expm(1j * U * grid.times[q * B])[:2]).max()
+            for q in range(grid.outer.shape[-1])),
+        max(np.abs(grid.inner[..., b] - expm(1j * U * grid.times[b])).max()
+            for b in range(B)))
 
 
 def semigroup_deviation(U, grid, i, j):
@@ -233,11 +248,7 @@ def test_propagator_semigroup_on_stiff_preset():
 def test_propagator_semigroup_property(params):
     U = build_generator(params)
     grid = propagator(U, 0.4, 1e-2)
-    if not grid.used_fallback:
-        # near eigenvalue coalescence the spectral route loses digits
-        # before the fallback threshold; keep the property test away from
-        # that regime, it is exercised separately
-        assume(np.linalg.cond(np.linalg.eig(U)[1]) < 1e4)
+    # every draw counts: the gate keeps the eigen route at cond(P) <= 1e3
     for i, j in ((3, 5), (10, 17), (20, 20)):
         assert semigroup_deviation(U, grid, i, j) <= 1e-9
 
@@ -330,12 +341,10 @@ def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max,
     grid = propagator(U, t_max, t_max / 2000)
     times = grid.times
 
-    # the documented trigger: cond(P) > 1e8, or P P^-1 missing the
-    # identity by more than 1e-12
-    P = np.linalg.eig(np.asarray(U, dtype=complex))[1]
-    cond = np.linalg.cond(P)
-    PPinv = P @ np.linalg.inv(P)
-    assert grid.used_fallback == (cond > 1e8 or np.abs(PPinv - np.eye(4)).max() > 1e-12)
+    # the documented gate: the eigen route runs where cond(P) is at most
+    # COND_LIMIT, the table route everywhere else
+    cond = eigen_cond(U)
+    assert grid.used_fallback == (not cond <= dynamics.COND_LIMIT)
 
     # the eigen route rounds at the scale n eps cond(P), n = 4, which
     # passes 1e-12 once cond(P) exceeds ~1e3
@@ -347,9 +356,26 @@ def test_propagator_on_and_near_exceptional_points(detune, g1, g2, omega, t_max,
         assert np.abs(rows[..., i] - expm(1j * U * times[i])[:2]).max() <= tol
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_route_gate_on_both_sides_of_the_limit(side):
+    # seeded draws near both exceptional-point families: at cond(P) in
+    # (100, COND_LIMIT] the eigen route runs, and its stacks round at
+    # eps cond(P) (0.91 at worst in 300 seeded draws); above the limit the
+    # table route runs, at rounding scale whatever cond(P) is (9.3 eps at
+    # worst in 700 draws, cond(P) up to 1.2e6)
+    limit = dynamics.COND_LIMIT
+    low, high = (100.0, limit) if side == "below" else (limit, np.inf)
+    for s in exceptional_draws(6, low, high, seed=11):
+        U = build_generator(s.params)
+        grid = propagator(U, s.t_max, s.dt)
+        assert grid.used_fallback == (side == "above")
+        bound = 2 * EPS * eigen_cond(U) if side == "below" else 16 * EPS
+        assert stack_error(U, grid) <= bound
+
+
 def test_propagator_fallback_near_eigenvalue_coalescence():
     # at the exceptional point the eigenvector matrix condition number
-    # blows up and either fallback trigger must fire
+    # blows up (9.0e7) and the gate sends the grid to the table route
     grid = propagator(build_generator(exceptional_params()), 1.0, 1e-2)
     assert grid.used_fallback
     assert np.abs(grid_rows(grid)[..., 0] - np.eye(4)[:2]).max() <= 1e-12
@@ -432,15 +458,17 @@ def test_forms_match_expm_on_and_near_exceptional_points(detune, g1, g2, omega,
     assert_forms_match_expm(U, grid, InitialState.from_amplitudes(alpha), tol)
 
 
-@pytest.mark.parametrize("detune", [1e-9, 1e-8, 1e-7])
+@pytest.mark.parametrize("detune", [1e-9, 1e-8, 1e-7, 1.2e-6])
 def test_eigen_route_near_exceptional_point_meets_the_born_check(detune):
-    # cond(P) 3e3 to 3e4: a form built in the eigenbasis would round at
-    # eps cond(P)^2, up to 1e-8, and fail the 1e-10 Born check at t = 0;
-    # the player rows of V round at eps cond(P)
+    # a form built in the eigenbasis would round at eps cond(P)^2, up to
+    # 1e-8 at cond(P) 3e4, and fail the 1e-10 Born check at t = 0; the
+    # player rows of V round at eps cond(P).  cond(P) is 3e4 to 3e3 at
+    # detunes 1e-9 to 1e-7, which take the table route, and 913 at 1.2e-6,
+    # just under COND_LIMIT, which takes the eigen route
     s = make_scenario(exceptional_params(detune), InitialState(0.5j, -0.5j, 0.5, -0.5),
                       N1=0.3, N2=0.8, t_max=5.0, dt=1e-3)
     series = decision_series(s)
-    assert not scenario_grid(s).used_fallback
+    assert scenario_grid(s).used_fallback == (detune < 1e-6)
     _, p1_1, _, p2_1 = born_probabilities(s.initial)
     assert abs(series.n[0, 0] - p1_1) <= 1e-12
     assert abs(series.n[0, 1] - p2_1) <= 1e-12
@@ -516,19 +544,26 @@ def ep_scenario(seed):
                          N1=0.0, N2=1.0, t_max=5.0, dt=1e-3, label=f"ep-{seed}")
 
 
-def near_exceptional_eigen_draws(count):
-    # seeded draws near an exceptional point that stay on the eigen route
-    rng = np.random.default_rng(5)
+def exceptional_draws(count, low, high, seed=5):
+    # seeded draws near either exceptional-point family whose cond(P) lies
+    # in (low, high], in the order drawn
+    rng = np.random.default_rng(seed)
     while count:
-        detune = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, -3.0)
+        detune = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -2.0)
         g1, g2 = rng.uniform(0.05, 3.0, 2)
-        params = exceptional_params(detune, g1, g2, rng.uniform(-2.0, 2.0))
+        family = rng.choice(["exchange", "cooperation"])
+        params = exceptional_params(detune, g1, g2, rng.uniform(-2.0, 2.0), family)
         t_max = rng.uniform(0.5, 20.0)
-        if propagator(build_generator(params), t_max, t_max / 2000).used_fallback:
+        if not low < eigen_cond(build_generator(params)) <= high:
             continue
         count -= 1
         yield make_scenario(params, InitialState(0.5j, -0.5j, 0.5, -0.5),
                             t_max=t_max, dt=t_max / 2000, label=f"near-ep-{count}")
+
+
+def near_exceptional_eigen_draws(count):
+    # seeded draws on the eigen route just under the switch
+    return exceptional_draws(count, 100.0, dynamics.COND_LIMIT)
 
 
 FORM_CASES = ([(PRESETS[name], route) for name in sorted(PRESETS)
@@ -732,14 +767,15 @@ def test_bath_contribution_matches_block_exponential(scenario):
 @pytest.mark.parametrize("N, k", [(1.0, 1), (0.0, 0)])
 def test_saturated_state_stays_in_bounds_near_exceptional_point(detune, N, k):
     # both players start where their baths hold them (phi_11 against full
-    # baths, phi_00 against empty ones); detune 0 takes the fallback
-    # route, 1e-6 the eigen route at cond(P) ~ 1e3
+    # baths, phi_00 against empty ones) at cond(P) 9.0e7 (detune 0) and
+    # 1.0e3 (1e-6), on the route the gate picks
     params = exceptional_params(detune)
     s = make_scenario(params, InitialState.basis_state(k, k), N1=N, N2=N,
                       t_max=5.0, dt=1e-3)
     series = decision_series(s)
-    grid = propagator(build_generator(params), s.t_max, s.dt)
-    assert grid.used_fallback == (detune == 0.0)
+    U = build_generator(params)
+    grid = propagator(U, s.t_max, s.dt)
+    assert grid.used_fallback == (not eigen_cond(U) <= dynamics.COND_LIMIT)
     assert series.n.min() >= -1e-10 and series.n.max() <= 1.0 + 1e-10
 
 
