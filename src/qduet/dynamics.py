@@ -110,8 +110,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import build_mode_operators
 from .model import (
+    _MODES,
     InitialState,
     ModelParams,
     ReservoirState,
@@ -139,9 +139,6 @@ __all__ = [
 COND_LIMIT = 1e3
 BOUND_TOL = 1e-8
 
-# B = (b1, b2, b1^dag, b2^dag), the operators the quadratic form runs over
-_b1, _b2 = build_mode_operators()
-_MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])
 _DIAGONAL = np.eye(4, dtype=bool)
 _UPPER = np.triu_indices(4, 1)
 # Re sum_mn X_mn Y_mn = sum_r s_r x_r y_r over the parameters x, y of two

@@ -13,16 +13,17 @@ A simulation is specified by four ingredients:
     on the basis (phi_00, phi_10, phi_01, phi_11), normalized to 1.
   * a time grid (t_max, dt).
 
+The players and their couplings are the closed Hamiltonian
+
+    H = omega1 n1 + omega2 n2 + mu_ex (b1^dag b2 + b2^dag b1)
+                              + mu_coop (b1^dag b2^dag + b2 b1).
+
 Eliminating the bath modes leaves a closed linear system for the mode
-operators, db/dt = i U b(t) + noise, with a constant 4x4 generator U
-assembled from the effective complex frequencies
-
-    nu_j = i omega_j + pi lambda_j**2 / Omega_j.
-
-The real part of nu_j is the bath-induced damping rate
-Gamma_j = pi lambda_j**2 / Omega_j; the imaginary part is the bare
-inertia.  build_generator returns U as a plain 4x4 complex array in the
-fixed entry pattern used throughout this package.
+operators B = (b1, b2, b1^dag, b2^dag), db/dt = i U b(t) + noise, with a
+constant 4x4 generator U: H's Heisenberg generator on B plus the damping
+i diag(Gamma1, Gamma2, Gamma1, Gamma2) the baths add, where
+Gamma_j = pi lambda_j**2 / Omega_j.  H's four terms and B are built once
+here, and closed_hamiltonian and build_generator both read them.
 
 Every model dataclass checks its invariants when it is constructed,
 Scenario included: a Scenario, or a dataclasses.replace of one, is valid
@@ -57,6 +58,7 @@ __all__ = [
     "ReservoirState",
     "InitialState",
     "Scenario",
+    "closed_hamiltonian",
     "build_generator",
     "born_probabilities",
     "is_entangled",
@@ -84,9 +86,19 @@ MAX_GRID_POINTS = 2 ** 22
 RUN_BYTES_PER_POINT = 8 + 4 * 16
 # relative tolerance on t_max / dt being a whole number of steps
 STEP_TOL = 1e-9
-# the diagonals of algebra's n1, n2: the basis states where player j plays 1
-_N_DIAG = tuple(np.diag(n).real.copy() for n in
-                algebra.number_operators(*algebra.build_mode_operators()))
+# B = (b1, b2, b1^dag, b2^dag) and the terms T_t of H, weighed by
+# (omega1, omega2, mu_ex, mu_coop): n1, n2, exchange and cooperation
+_b1, _b2 = algebra.build_mode_operators()
+_MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])
+_b1d, _b2d = _MODES[2:]
+_TERMS = np.stack([*algebra.number_operators(_b1, _b2),
+                   _b1d @ _b2 + _b2d @ _b1, _b1d @ _b2d + _b2 @ _b1])
+# K_t of [T_t, B_k] = sum_l K_t[k, l] B_l.  Each B_l has two +-1 entries on
+# a support no other B_l shares, so the projection is exact: K_t is 0 or +-1
+_TABLES = ((_TERMS[:, None] @ _MODES - _MODES @ _TERMS[:, None]).reshape(4, 4, 16)
+           @ _MODES.reshape(4, 16).T / 2).real
+# the diagonals of n1, n2: the basis states where player j plays 1
+_N_DIAG = tuple(np.diag(n).real.copy() for n in _TERMS[:2])
 
 
 class ScenarioError(ValueError):
@@ -209,26 +221,32 @@ class InitialState:
         return cls.from_amplitudes(a)
 
 
+def _couplings(params: ModelParams) -> np.ndarray:
+    """The weights (omega1, omega2, mu_ex, mu_coop) of the terms of H."""
+    return np.array([params.omega1, params.omega2, params.mu_ex, params.mu_coop])
+
+
+def closed_hamiltonian(params: ModelParams) -> np.ndarray:
+    """H = sum_t c_t T_t, the Hermitian 4x4 Hamiltonian of the bath-free players."""
+    return np.tensordot(_couplings(params), _TERMS, 1)
+
+
 def build_generator(params: ModelParams) -> np.ndarray:
     """Generator U of the reduced mode dynamics db/dt = i U b.
 
-    With the effective complex frequencies
-    nu_j = i omega_j + pi lambda_j^2 / Omega_j, U is the 4x4 complex array
+    U = sum_t c_t K_t + i diag(Gamma1, Gamma2, Gamma1, Gamma2), the
+    Heisenberg generator of closed_hamiltonian on B plus the bath damping;
+    each entry is one parameter, so U is exact.  With the effective
+    complex frequencies nu_j = i omega_j + pi lambda_j^2 / Omega_j it is
+    the 4x4 complex array
 
         [[ i nu1,   -mu_ex,   0,          -mu_coop],
          [-mu_ex,    i nu2,   mu_coop,     0      ],
          [ 0,        mu_coop, i conj(nu1), mu_ex  ],
          [-mu_coop,  0,       mu_ex,       i conj(nu2)]].
     """
-    nu1 = 1j * params.omega1 + params.gamma1
-    nu2 = 1j * params.omega2 + params.gamma2
-    mx, mc = params.mu_ex, params.mu_coop
-    return np.array([
-        [1j * nu1, -mx, 0.0, -mc],
-        [-mx, 1j * nu2, mc, 0.0],
-        [0.0, mc, 1j * np.conj(nu1), mx],
-        [-mc, 0.0, mx, 1j * np.conj(nu2)],
-    ], dtype=complex)
+    return (np.tensordot(_couplings(params), _TABLES, 1)
+            + np.diag(1j * np.array([params.gamma1, params.gamma2] * 2)))
 
 
 def born_probabilities(initial: InitialState) -> tuple[float, float, float, float]:

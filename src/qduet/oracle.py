@@ -51,29 +51,14 @@ import math
 
 import numpy as np
 
-from . import algebra
 from .dynamics import PropagatorGrid, conditional_stack, decision_series
-from .model import _N_DIAG, InitialState, ModelParams, Scenario
+from .model import _N_DIAG, InitialState, ModelParams, Scenario, closed_hamiltonian
 
 __all__ = [
-    "closed_hamiltonian",
     "exact_closed_evolution",
     "propagator_residual",
     "ltp_residual",
 ]
-
-
-def closed_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Hermitian 4x4 Hamiltonian of the bath-free two-player system."""
-    b1, b2 = algebra.build_mode_operators()
-    n1, n2 = algebra.number_operators(b1, b2)
-    H = (params.omega1 * n1 + params.omega2 * n2
-         + params.mu_ex * (b1.conj().T @ b2 + b2.conj().T @ b1)
-         + params.mu_coop * (b1.conj().T @ b2.conj().T + b2 @ b1))
-    herm_dev = np.abs(H - H.conj().T).max()
-    if herm_dev > 1e-12:
-        raise ValueError(f"Hamiltonian not Hermitian, deviation {herm_dev:.3g}")
-    return H
 
 
 def exact_closed_evolution(params: ModelParams, initial: InitialState,
