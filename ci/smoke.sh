@@ -5,8 +5,12 @@
 # Usage: bash ci/smoke.sh   (with `qduet` on PATH)
 #
 # Fails unless the propagator defect it prints is at rounding scale
-# (5.4e-15 on fig1-left), and so is the LTP residual's distance to dmu
-# (1.9e-16 on fig1-left, 1.4e-16 to 2.3e-16 on the presets).  Three runs
+# (5.4e-15 on fig1-left), and so are the form defect (2.8e-17 on
+# fig1-left) and the LTP residual's distance to dmu (1.9e-16 on fig1-left,
+# 1.4e-16 to 2.3e-16 on the presets).  A closed run (lambda1 = lambda2 = 0)
+# ties the Schrodinger evolution under H to the U derived from the same H:
+# its closed-system deviation (9.8e-15) and form defect (1.7e-16) must be
+# at rounding scale too.  Three runs
 # lie above the eigen route's limit, cond(P) <= 1e3, and each must take
 # the table route with its defect at rounding scale: the exchange
 # exceptional point (cond(P) 9.0e7, defect 2.2e-16), a point just off it
@@ -29,6 +33,8 @@ qduet --preset fig1-left --oracle --out "$tmp/smoke" > "$tmp/smoke.out"
 cat "$tmp/smoke.out"
 defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .*/\1/p' "$tmp/smoke.out")
 at_most "$defect" 1e-13
+form=$(sed -n 's/^oracle: form defect \([^ ]*\)$/\1/p' "$tmp/smoke.out")
+at_most "$form" 1e-13
 
 qduet --preset fig1-left --ltp --no-csv --out "$tmp/smoke" > "$tmp/ltp.out"
 cat "$tmp/ltp.out"
@@ -74,6 +80,21 @@ defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .* (fallback)$/\1/p' 
 at_most "$defect" 1e-13
 ident=$(sed -n 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' "$tmp/coop.out")
 at_most "$ident" 1e-14
+
+# lambda1 = lambda2 = 0: the closed-system oracle runs
+cat > "$tmp/closed.json" <<'JSON'
+{"omega1": 1.0, "omega2": 2.0, "Omega1": 0.1, "Omega2": 0.1,
+ "lambda1": 0.0, "lambda2": 0.0,
+ "mu_ex": 3.0, "mu_coop": 2.0, "N1": 0.0, "N2": 1.0,
+ "alpha": [[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, 0.0]],
+ "t_max": 5.0, "dt": 0.001, "label": "closed"}
+JSON
+qduet --scenario "$tmp/closed.json" --oracle --no-csv --out "$tmp/smoke" > "$tmp/closed.out"
+cat "$tmp/closed.out"
+deviation=$(sed -n 's/^oracle: closed-system deviation \([^ ]*\)$/\1/p' "$tmp/closed.out")
+at_most "$deviation" 1e-13
+form=$(sed -n 's/^oracle: form defect \([^ ]*\)$/\1/p' "$tmp/closed.out")
+at_most "$form" 1e-13
 
 # a second source is a usage error: exit status 1
 status=0

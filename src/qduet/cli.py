@@ -300,6 +300,7 @@ def run_one(s: Scenario, args: argparse.Namespace) -> None:
         residual = oracle.propagator_residual(grid)
         route = "fallback" if grid.used_fallback else "eigendecomposition"
         print(f"oracle: propagator defect {residual:.6g} at dt={s.dt:g} ({route})")
+        print(f"oracle: form defect {oracle.form_defect(grid):.6g}")
         if s.params.lambda1 == 0.0 and s.params.lambda2 == 0.0:
             n1_ref, n2_ref = oracle.exact_closed_evolution(
                 s.params, s.initial, series.times)

@@ -86,7 +86,7 @@ MAX_GRID_POINTS = 2 ** 22
 RUN_BYTES_PER_POINT = 8 + 4 * 16
 # relative tolerance on t_max / dt being a whole number of steps
 STEP_TOL = 1e-9
-# B = (b1, b2, b1^dag, b2^dag) and the terms T_t of H, weighed by
+# B = (b1, b2, b1^dag, b2^dag) and the terms T_t of H, weighted by
 # (omega1, omega2, mu_ex, mu_coop): n1, n2, exchange and cooperation
 _b1, _b2 = algebra.build_mode_operators()
 _MODES = np.stack([_b1, _b2, _b1.conj().T, _b2.conj().T])

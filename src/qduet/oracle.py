@@ -1,26 +1,30 @@
 """Independent verification paths for the simulation pipeline.
 
-Three checks.  The first two share no code with the production route
-beyond the operator algebra; the third is built from production runs:
+Four checks.  The first two share no code with the production route
+beyond the operator algebra and, for the first, model's closed
+Hamiltonian; the third checks the grid's form terms against its own
+stacks, and the fourth is built from production runs:
 
   * exact_closed_evolution: for zero bath coupling the joint state obeys
     an ordinary 4-dimensional Schrodinger equation with the Hermitian
-    Hamiltonian
-
-        H = omega1 n1 + omega2 n2 + mu_ex (b1^dag b2 + b2^dag b1)
-                                  + mu_coop (b1^dag b2^dag + b2 b1),
-
-    solved exactly through the real eigendecomposition of H.  The
-    decision functions are then plain expectation values <psi(t), n_j psi(t)>.
-    The production route instead evolves the mode operators with the
-    non-Hermitian generator U; agreement of the two is a genuine
-    cross-implementation test.
+    Hamiltonian H = model.closed_hamiltonian, solved exactly through the
+    eigendecomposition of H.  The decision functions are then plain
+    expectation values <psi(t), n_j psi(t)>.  The production route
+    instead takes the Heisenberg route: U from the same H, the propagator
+    stacks and the Gram forms.  Agreement of the two checks that route
+    end to end; the couplings themselves are pinned by the tests' literal
+    U and H.
 
   * propagator_residual: the one-step semigroup defect of the two factor
     stacks a grid keeps, against E = exp(i U dt) for the grid's own
     generator U from this module's own exponential, _expm, which takes a
     square matrix of any size.  By induction it bounds the error of V at
     every grid point, at rounding scale, in O(sqrt(nt)) time and scratch.
+
+  * form_defect: the forms the grid's outer_terms and inner_terms give,
+    for one fixed Hermitian weight at 16 grid points, against the same
+    forms taken from the player rows O_q I_b multiplied out from the
+    stacks.  With propagator_residual it ties every form to V.
 
   * ltp_residual: the decision functions compared against the classical
     law of total probability.  Four conditional simulations started from
@@ -48,17 +52,25 @@ cheap and adequate for fixed 4x4 operators.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from .dynamics import PropagatorGrid, conditional_stack, decision_series
+from .dynamics import PropagatorGrid, _player_forms, conditional_stack, decision_series
 from .model import _N_DIAG, InitialState, ModelParams, Scenario, closed_hamiltonian
 
 __all__ = [
     "exact_closed_evolution",
     "propagator_residual",
+    "form_defect",
     "ltp_residual",
 ]
+
+# the fixed Hermitian weight form_defect reads: seeded, of 2-norm 1 (the
+# stdlib generator, which the package loads already, unlike numpy.random)
+_rng = random.Random(0)
+_X = np.reshape([_rng.gauss(0.0, 1.0) for _ in range(32)], (4, 4, 2)) @ (1.0, 1j)
+_FORM_WEIGHT = (_X + _X.conj().T) / np.linalg.norm(_X + _X.conj().T, 2)
 
 
 def exact_closed_evolution(params: ModelParams, initial: InitialState,
@@ -110,6 +122,23 @@ def propagator_residual(grid: PropagatorGrid) -> float:
     defects = [I[0] - np.eye(4), O[0] - np.eye(4)[:2],
                I[:-1] @ E - I[1:], O[:-1] @ (I[-1] @ E) - O[1:]]
     return float(np.max([np.abs(d).max(initial=0.0) for d in defects]))  # a nan stays
+
+
+def form_defect(grid: PropagatorGrid) -> float:
+    """Max distance of the forms the grid's terms give from its stacks'.
+
+    For one fixed Hermitian W, at 16 evenly spaced grid points t_{qB+b},
+    the largest |f_j^W(t) - Re sum_mn conj(V_jm) W_mn V_jn| over both
+    players, with f_j^W the production form, which reads only outer_terms
+    and inner_terms, and the player rows V(t)[:2] = O_q I_b multiplied out
+    from the stacks outer and inner.  It reads at rounding scale when the
+    terms hold what the stacks do.
+    """
+    points = np.linspace(0, len(grid.times) - 1, 16).round().astype(int)
+    q, b = np.divmod(points, grid.inner.shape[-1])
+    V = np.einsum("jmp,mnp->pjn", grid.outer[..., q], grid.inner[..., b])
+    direct = np.einsum("pjm,mn,pjn->jp", V.conj(), _FORM_WEIGHT, V).real
+    return float(np.abs(_player_forms(grid, _FORM_WEIGHT)[:, points] - direct).max())
 
 
 def _expm(M: np.ndarray) -> np.ndarray:

@@ -164,6 +164,8 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
          "--oracle", "--ltp"], capsys)
     assert code == 0, err
     assert "propagator defect" in out
+    form = re.search(r"^oracle: propagator defect .*\noracle: form defect (\S+)$", out, re.M)
+    assert float(form.group(1)) <= 1e-13, out
     assert "closed-system deviation" in out
     assert (tmp_path / "closed_ltp.csv").exists()
     assert "max |R - dmu|" in out

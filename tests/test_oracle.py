@@ -37,11 +37,12 @@ from qduet.model import (
     ReservoirState,
     Scenario,
     build_generator,
+    closed_hamiltonian,
 )
 from qduet.oracle import (
     _expm,
-    closed_hamiltonian,
     exact_closed_evolution,
+    form_defect,
     ltp_residual,
     propagator_residual,
 )
@@ -174,6 +175,22 @@ def test_propagator_residual_sees_a_perturbed_stack(stack):
     values[1, 2, values.shape[-1] // 2] += 1e-12
     perturbed = dataclasses.replace(grid, **{stack: values})
     assert propagator_residual(perturbed) - propagator_residual(grid) >= 5e-13
+
+
+@pytest.mark.parametrize("s", DEFECT_CASES, ids=[s.label for s in DEFECT_CASES])
+def test_form_defect_is_rounding_on_presets_and_exceptional_points(s):
+    # measured: 0.25 eps at most (fig3), 0.094 eps on the exceptional
+    # points' table route
+    assert form_defect(dynamics.scenario_grid(s)) <= EPS
+
+
+def test_form_defect_sees_a_perturbed_inner_term():
+    # the inner term of Re W_00 and the last grid point's Re M_b[0, 0],
+    # moved by 1e-9
+    grid = dynamics.scenario_grid(PRESETS["fig1-left"])
+    terms = grid.inner_terms.copy()
+    terms[0, (len(grid.times) - 1) % grid.inner.shape[-1]] += 1e-9
+    assert form_defect(dataclasses.replace(grid, inner_terms=terms)) > EPS
 
 
 def test_propagator_residual_tracks_the_eigen_route_error_near_the_switch():
