@@ -6,16 +6,19 @@
 #
 # Fails unless the propagator defect it prints is at rounding scale
 # (5.4e-15 on fig1-left), and so are the form defect (2.8e-17 on
-# fig1-left) and the LTP residual's distance to dmu (1.9e-16 on fig1-left,
-# 1.4e-16 to 2.3e-16 on the presets).  A closed run (lambda1 = lambda2 = 0)
-# ties the Schrodinger evolution under H to the U derived from the same H:
-# its closed-system deviation (9.8e-15) and form defect (1.7e-16) must be
-# at rounding scale too.  Three runs
+# fig1-left), the master-equation deviation (1.6e-14 on fig1-left) and the
+# LTP residual's distance to dmu (1.9e-16 on fig1-left, 1.4e-16 to 2.3e-16
+# on the presets).  The master-equation deviation ties the whole run, bath
+# included, to the Lindblad equation under the same H.  A closed run
+# (lambda1 = lambda2 = 0), where that equation is the Schrodinger
+# evolution under H, must read at rounding scale too: master-equation
+# deviation 5.2e-15 and form defect 1.7e-16.  Three runs
 # lie above the eigen route's limit, cond(P) <= 1e3, and each must take
 # the table route with its defect at rounding scale: the exchange
 # exceptional point (cond(P) 9.0e7, defect 2.2e-16), a point just off it
 # (cond(P) 3.2e3, 2.1e-16) and the cooperation exceptional point (cond(P)
-# 9.0e7, 2.4e-16, with an LTP distance of 2.2e-16).  Outputs go to
+# 9.0e7, 2.4e-16, with an LTP distance of 2.2e-16 and a master-equation
+# deviation of 7.8e-16).  Outputs go to
 # $RUNNER_TEMP when it is set, made if missing, else to a new temporary
 # directory.
 set -eo pipefail
@@ -35,6 +38,8 @@ defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .*/\1/p' "$tmp/smoke.
 at_most "$defect" 1e-13
 form=$(sed -n 's/^oracle: form defect \([^ ]*\)$/\1/p' "$tmp/smoke.out")
 at_most "$form" 1e-13
+deviation=$(sed -n 's/^oracle: master-equation deviation \([^ ]*\)$/\1/p' "$tmp/smoke.out")
+at_most "$deviation" 1e-13
 
 qduet --preset fig1-left --ltp --no-csv --out "$tmp/smoke" > "$tmp/ltp.out"
 cat "$tmp/ltp.out"
@@ -80,8 +85,10 @@ defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .* (fallback)$/\1/p' 
 at_most "$defect" 1e-13
 ident=$(sed -n 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' "$tmp/coop.out")
 at_most "$ident" 1e-14
+deviation=$(sed -n 's/^oracle: master-equation deviation \([^ ]*\)$/\1/p' "$tmp/coop.out")
+at_most "$deviation" 1e-13
 
-# lambda1 = lambda2 = 0: the closed-system oracle runs
+# lambda1 = lambda2 = 0: the master equation is the closed evolution
 cat > "$tmp/closed.json" <<'JSON'
 {"omega1": 1.0, "omega2": 2.0, "Omega1": 0.1, "Omega2": 0.1,
  "lambda1": 0.0, "lambda2": 0.0,
@@ -91,7 +98,7 @@ cat > "$tmp/closed.json" <<'JSON'
 JSON
 qduet --scenario "$tmp/closed.json" --oracle --no-csv --out "$tmp/smoke" > "$tmp/closed.out"
 cat "$tmp/closed.out"
-deviation=$(sed -n 's/^oracle: closed-system deviation \([^ ]*\)$/\1/p' "$tmp/closed.out")
+deviation=$(sed -n 's/^oracle: master-equation deviation \([^ ]*\)$/\1/p' "$tmp/closed.out")
 at_most "$deviation" 1e-13
 form=$(sed -n 's/^oracle: form defect \([^ ]*\)$/\1/p' "$tmp/closed.out")
 at_most "$form" 1e-13

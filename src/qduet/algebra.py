@@ -36,29 +36,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "build_basis",
     "build_mode_operators",
     "number_operators",
-    "car_residual",
 ]
 
 # single-player blocks; sm lowers the strategy bit, sz is the parity factor
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
-
-
-def build_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return the orthonormal strategy basis (phi_00, phi_10, phi_01, phi_11).
-
-    phi_00 is the joint vacuum, annihilated by both mode operators; the
-    other vectors are built from it by the creation operators,
-    phi_10 = b1^dag phi_00, phi_01 = b2^dag phi_00 and
-    phi_11 = b1^dag b2^dag phi_00 (the sign of phi_11 is fixed by this
-    ordering of the creation operators).
-    """
-    eye = np.eye(4, dtype=complex)
-    return eye[0], eye[1], eye[2], eye[3]
 
 
 def build_mode_operators() -> tuple[np.ndarray, np.ndarray]:
@@ -86,23 +71,3 @@ def number_operators(b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.nda
     n1 = b1.conj().T @ b1
     n2 = b2.conj().T @ b2
     return n1, n2
-
-
-def car_residual(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> float:
-    """Maximum deviation of the operator pair from the CAR.
-
-    For every ordered pair (k, l) over the given operators, computes
-    {b_k, b_l^dag} - delta_kl * 1 and {b_k, b_l} and returns the largest
-    absolute entry over all of them.  Zero (to rounding) certifies a valid
-    fermionic pair; an O(1) value pinpoints which defining relation fails.
-    """
-    ops = [np.asarray(op, dtype=complex) for op in ops]
-    dim = ops[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    worst = 0.0
-    for k, bk in enumerate(ops):
-        for l, bl in enumerate(ops):
-            mixed = bk @ bl.conj().T + bl.conj().T @ bk - (eye if k == l else 0.0)
-            plain = bk @ bl + bl @ bk
-            worst = max(worst, np.abs(mixed).max(), np.abs(plain).max())
-    return float(worst)

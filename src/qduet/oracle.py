@@ -5,15 +5,9 @@ beyond the operator algebra and, for the first, model's closed
 Hamiltonian; the third checks the grid's form terms against its own
 stacks, and the fourth is built from production runs:
 
-  * exact_closed_evolution: for zero bath coupling the joint state obeys
-    an ordinary 4-dimensional Schrodinger equation with the Hermitian
-    Hamiltonian H = model.closed_hamiltonian, solved exactly through the
-    eigendecomposition of H.  The decision functions are then plain
-    expectation values <psi(t), n_j psi(t)>.  The production route
-    instead takes the Heisenberg route: U from the same H, the propagator
-    stacks and the Gram forms.  Agreement of the two checks that route
-    end to end; the couplings themselves are pinned by the tests' literal
-    U and H.
+  * master_equation_n: n_j(t) from the Lindblad equation under model's H
+    and modes, against production's U, stacks, forms and bath Lyapunov
+    solve; at lambda1 = lambda2 = 0 it is the closed Schrodinger evolution.
 
   * propagator_residual: the one-step semigroup defect of the two factor
     stacks a grid keeps, against E = exp(i U dt) for the grid's own
@@ -57,10 +51,10 @@ import random
 import numpy as np
 
 from .dynamics import PropagatorGrid, _player_forms, conditional_stack, decision_series
-from .model import _N_DIAG, InitialState, ModelParams, Scenario, closed_hamiltonian
+from .model import _MODES, _N_DIAG, Scenario, closed_hamiltonian
 
 __all__ = [
-    "exact_closed_evolution",
+    "master_equation_n",
     "propagator_residual",
     "form_defect",
     "ltp_residual",
@@ -73,28 +67,35 @@ _X = np.reshape([_rng.gauss(0.0, 1.0) for _ in range(32)], (4, 4, 2)) @ (1.0, 1j
 _FORM_WEIGHT = (_X + _X.conj().T) / np.linalg.norm(_X + _X.conj().T, 2)
 
 
-def exact_closed_evolution(params: ModelParams, initial: InitialState,
-                           times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact decision functions for zero bath coupling.
+def master_equation_n(s: Scenario, points) -> np.ndarray:
+    """(n1, n2) at the grid times k dt, k in points, from the Lindblad equation:
 
-    psi(t) = exp(-i H t) psi0 through the eigendecomposition of the
-    Hermitian H; returns (<n1>(t), <n2>(t)).  Raises ValueError when
-    called with nonzero bath couplings, where no closed 4-dimensional
-    evolution exists.
+    drho/dt = -i[H, rho] + sum_j 2 Gamma_j ((1 - N_j) D[b_j] + N_j D[b_j^dag]) rho,
+    D[c] rho = c rho c^dag - {c^dag c, rho} / 2, from rho = psi0 psi0^dag, stepped
+    over each gap g of the nondecreasing points by exp(L g dt), one _expm per g > 0.
     """
-    if params.lambda1 != 0.0 or params.lambda2 != 0.0:
-        raise ValueError(
-            f"closed evolution requires lambda1 = lambda2 = 0, got "
-            f"{params.lambda1}, {params.lambda2}")
-    times = np.asarray(times, dtype=float)
-    H = closed_hamiltonian(params)
-    energies, Q = np.linalg.eigh(H)
-    coeffs = Q.conj().T @ initial.amplitudes
-    phases = np.exp(-1j * np.outer(times, energies))
-    psi_t = (Q @ (phases * coeffs).T).T
-    prob = np.abs(psi_t) ** 2
-    n1, n2 = (prob @ d for d in _N_DIAG)
-    return n1, n2
+    gaps = np.diff(points, prepend=0).tolist()
+    L = _liouvillian(s)
+    E = {g: _expm(L * (g * s.dt)) if g else np.eye(16) for g in set(gaps)}
+    rho = np.outer(s.initial.amplitudes, s.initial.amplitudes.conj()).reshape(16)
+    diagonals = []
+    for g in gaps:
+        rho = E[g] @ rho
+        diagonals.append(rho[::5].real)  # rho_00 .. rho_33 of the row-stacked rho
+    return np.array(diagonals) @ np.transpose(_N_DIAG)
+
+
+def _liouvillian(s: Scenario) -> np.ndarray:
+    """L rho = -i (K rho - rho K^dag) + sum_c r_c c rho c^dag as a 16x16 matrix.
+
+    c runs over (b1, b2, b1^dag, b2^dag) at r_c = 2 Gamma_j (1 - N_j), 2 Gamma_j N_j,
+    K = H - (i/2) sum_c r_c c^dag c, and vec(A rho C) = kron(A, C^T) vec(rho).
+    """
+    p, r = s.params, s.reservoir
+    rates = 2 * np.array([p.gamma1, p.gamma2] * 2) * (1 - r.N1, 1 - r.N2, r.N1, r.N2)
+    K = closed_hamiltonian(p) - 0.5j * np.einsum("m,mba,mbc->ac", rates, _MODES.conj(), _MODES)
+    jumps = np.einsum("m,mab,mcd->acbd", rates, _MODES, _MODES.conj()).reshape(16, 16)
+    return jumps - 1j * (np.kron(K, np.eye(4)) - np.kron(np.eye(4), K.conj()))
 
 
 def propagator_residual(grid: PropagatorGrid) -> float:

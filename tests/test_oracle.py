@@ -1,4 +1,4 @@
-"""Independent verification paths: closed evolution, semigroup defect, LTP."""
+"""Independent verification paths: master equation, semigroup defect, LTP."""
 
 import dataclasses
 import math
@@ -11,11 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import count_calls, empty_slots
+from conftest import amplitude_vectors, count_calls, empty_slots
 from test_dynamics import (
+    COOPERATION_EP,
     EPS,
     ep_scenario,
+    exceptional_detunes,
+    exceptional_families,
     exceptional_params,
+    make_params,
     near_exceptional_eigen_draws,
     stack_bytes,
     stack_error,
@@ -28,8 +32,10 @@ from qduet.dynamics import (
     make_times,
     mu_player,
     propagator,
+    stationary_limit,
 )
 from qduet.model import (
+    _N_DIAG,
     RUN_BYTES_PER_POINT,
     InitialState,
     ModelParams,
@@ -41,9 +47,10 @@ from qduet.model import (
 )
 from qduet.oracle import (
     _expm,
-    exact_closed_evolution,
+    _liouvillian,
     form_defect,
     ltp_residual,
+    master_equation_n,
     propagator_residual,
 )
 
@@ -68,34 +75,39 @@ def test_closed_hamiltonian_matrix():
     assert np.abs(H - H.conj().T).max() <= 1e-12
 
 
-def test_closed_evolution_requires_zero_coupling():
-    with pytest.raises(ValueError):
-        exact_closed_evolution(closed_params(lambda1=0.5),
-                               InitialState.basis_state(0, 0),
-                               make_times(1.0, 0.1))
+def closed_scenario(params, initial):
+    """A bath-free run of t_max 5 at dt 0.01 from initial."""
+    return Scenario(params=params, reservoir=ReservoirState(0.0, 0.0),
+                    initial=initial, t_max=5.0, dt=0.01, label="closed")
+
+
+def master_equation_every_point(s):
+    """The master equation's n at every grid point, shape (nt, 2)."""
+    return master_equation_n(s, np.arange(len(make_times(s.t_max, s.dt))))
 
 
 def test_closed_evolution_eigenstate_is_stationary():
-    times = make_times(5.0, 0.01)
-    n1, n2 = exact_closed_evolution(closed_params(),
-                                    InitialState.basis_state(1, 0), times)
-    assert np.abs(n1 - 1.0).max() <= 1e-12
-    assert np.abs(n2).max() <= 1e-12
+    n = master_equation_every_point(
+        closed_scenario(closed_params(), InitialState.basis_state(1, 0)))
+    assert np.abs(n[:, 0] - 1.0).max() <= 1e-12
+    assert np.abs(n[:, 1]).max() <= 1e-12
 
 
 def test_closed_evolution_rabi_oscillation():
     mu = 1.7
     times = make_times(5.0, 0.01)
-    n1, n2 = exact_closed_evolution(
+    n = master_equation_every_point(closed_scenario(
         closed_params(omega1=0.0, omega2=0.0, mu_ex=mu),
-        InitialState.basis_state(1, 0), times)
-    assert np.abs(n1 - np.cos(mu * times) ** 2).max() <= 1e-12
-    assert np.abs(n2 - np.sin(mu * times) ** 2).max() <= 1e-12
+        InitialState.basis_state(1, 0)))
+    assert np.abs(n[:, 0] - np.cos(mu * times) ** 2).max() <= 1e-12
+    assert np.abs(n[:, 1] - np.sin(mu * times) ** 2).max() <= 1e-12
 
 
 def test_closed_evolution_conservation_laws():
+    # at lambda = 0 the Liouvillian is -i[H, .]: the trace, the energy
+    # Tr(rho H) and the parity Tr(rho P) stay put, and with mu_coop = 0 so
+    # does n1 + n2
     rng = np.random.default_rng(7)
-    times = make_times(5.0, 0.05)
     b_parity = np.diag([1.0, -1.0, -1.0, 1.0])
     for _ in range(5):
         params = closed_params(omega1=rng.uniform(-2, 2),
@@ -104,28 +116,113 @@ def test_closed_evolution_conservation_laws():
                                mu_coop=rng.uniform(-3, 3))
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
         vec /= np.linalg.norm(vec)
-        initial = InitialState.from_amplitudes(vec)
-        H = closed_hamiltonian(params)
-        energies, Q = np.linalg.eigh(H)
-        coeffs = Q.conj().T @ vec
-        psi = (Q @ (np.exp(-1j * np.outer(times, energies)) * coeffs).T).T
-        norms = np.linalg.norm(psi, axis=1)
-        assert np.abs(norms - 1.0).max() <= 1e-12
-        energy = np.einsum("ti,ij,tj->t", psi.conj(), H, psi).real
-        assert np.abs(energy - energy[0]).max() <= 1e-10
-        parity = np.einsum("ti,ij,tj->t", psi.conj(), b_parity, psi).real
-        assert np.abs(parity - parity[0]).max() <= 1e-10
-        if params.mu_coop == 0.0:
-            n1, n2 = exact_closed_evolution(params, initial, times)
-            assert np.abs((n1 + n2) - (n1[0] + n2[0])).max() <= 1e-10
+        s = closed_scenario(params, InitialState.from_amplitudes(vec))
+        E = _expm(_liouvillian(s) * s.dt)
+        rho = np.outer(vec, vec.conj()).reshape(16)
+        # Tr(rho A) = vec(rho) . vec(A^T) for rho stacked by rows
+        observables = np.stack([np.eye(4), closed_hamiltonian(params),
+                                b_parity]).transpose(0, 2, 1).reshape(3, 16)
+        values = []
+        for _ in range(len(make_times(s.t_max, s.dt))):
+            values.append((observables @ rho).real)
+            rho = E @ rho
+        norm, energy, parity = (np.array(values) - values[0]).T
+        assert np.abs(norm).max() <= 1e-12
+        assert np.abs(energy).max() <= 1e-10
+        assert np.abs(parity).max() <= 1e-10
+        n = master_equation_every_point(dataclasses.replace(
+            s, params=dataclasses.replace(params, mu_coop=0.0)))
+        assert np.abs(n.sum(axis=1) - n[0].sum()).max() <= 1e-10
 
 
 def test_total_excitation_conserved_without_cooperation():
-    params = closed_params(mu_ex=2.3, mu_coop=0.0)
-    times = make_times(5.0, 0.01)
     vec = np.array([0.5, 0.5j, -0.5, 0.5])
-    n1, n2 = exact_closed_evolution(params, InitialState.from_amplitudes(vec), times)
-    assert np.abs((n1 + n2) - (n1[0] + n2[0])).max() <= 1e-10
+    n = master_equation_every_point(closed_scenario(
+        closed_params(mu_ex=2.3, mu_coop=0.0), InitialState.from_amplitudes(vec)))
+    assert np.abs(n.sum(axis=1) - n[0].sum()).max() <= 1e-10
+
+
+DEFECT_CASES = ([PRESETS[name] for name in sorted(PRESETS)]
+                + [ep_scenario(seed) for seed in (1, 2, 3)]
+                + [dataclasses.replace(PRESETS["fig3-left"], t_max=20.0,
+                                       label="fig3-left-t20")])
+
+
+# dev <= ME_C eps max(1, ||L||_1 t_max), times cond(P) on the eigen route.
+# Where ||L||_1 t_max is small the floor is the oracle's own stepping: its
+# E = exp(L m dt) rounds at about 1 eps, and 20 steps add that up (seen
+# against scipy's expm at each point).  Measured: at most 19.5 in 13000
+# examples of the property and 52000 seeded draws, all at ||L||_1 t_max
+# below 4; at most 1.33 on the presets, ep-1 and the cooperation point
+ME_C = 32
+
+
+def master_equation_deviation(s):
+    """(max |n - n_ME| at the points --oracle samples, the bound's scale).
+
+    The scale is eps max(1, ||L||_1 t_max), times cond(P) where the grid
+    takes the eigen route, which rounds at eps cond(P).
+    """
+    series = decision_series(s)
+    last = len(series.times) - 1
+    points = np.r_[np.arange(0, last, max(1, last // 20))[:21], last]
+    deviation = np.abs(series.n[points] - master_equation_n(s, points)).max()
+    norm = np.abs(_liouvillian(s)).sum(axis=0).max()
+    return deviation, EPS * max(1.0, norm * s.t_max) * eigen_scale(dynamics.scenario_grid(s))
+
+
+damped_params = st.builds(
+    make_params,
+    omega1=st.floats(-3, 3), omega2=st.floats(-3, 3),
+    Omega1=st.floats(0.1, 2.0), Omega2=st.floats(0.1, 2.0),
+    lambda1=st.floats(0.2, 1.0), lambda2=st.floats(0.2, 1.0),
+    mu_ex=st.floats(-3, 3), mu_coop=st.floats(-3, 3))
+exceptional_param_draws = st.builds(exceptional_params, exceptional_detunes,
+                                   st.floats(0.05, 3.0), st.floats(0.05, 3.0),
+                                   st.floats(-2.0, 2.0), exceptional_families)
+
+
+@given(params=st.one_of(damped_params, exceptional_param_draws),
+       N1=st.floats(0.0, 1.0), N2=st.floats(0.0, 1.0),
+       alpha=amplitude_vectors(), t_max=st.floats(0.5, 5.0))
+@settings(deadline=None, max_examples=60)
+def test_master_equation_deviation_is_rounding(params, N1, N2, alpha, t_max):
+    s = Scenario(params=params, reservoir=ReservoirState(N1, N2),
+                 initial=InitialState.from_amplitudes(alpha), t_max=t_max,
+                 dt=t_max / 2000, label="draw")
+    deviation, scale = master_equation_deviation(s)
+    assert deviation <= ME_C * scale
+
+
+@pytest.mark.parametrize("s", DEFECT_CASES + [COOPERATION_EP],
+                         ids=[s.label for s in DEFECT_CASES + [COOPERATION_EP]])
+def test_master_equation_deviation_on_presets_and_exceptional_points(s):
+    # measured: 1.33 times the scale at most (fig6-left), 1.6e-13 at most
+    # (fig3-left at t_max 20)
+    deviation, scale = master_equation_deviation(s)
+    assert deviation <= 2 * scale and deviation <= 1e-12
+
+
+def test_master_equation_sees_a_scaled_bath_term(monkeypatch):
+    # the bath term's N scaled by 1.01 passes the run-time checks on
+    # fig6-left, and the deviation reads 6.9e-3
+    solve = dynamics._bath_solution
+    monkeypatch.setattr(dynamics, "_bath_solution", lambda *args: 1.01 * solve(*args))
+    deviation, scale = master_equation_deviation(PRESETS["fig6-left"])
+    assert deviation >= 1e-3 > 1e9 * ME_C * scale
+
+
+NULL_CASES = [PRESETS[name] for name in sorted(PRESETS)] + [ep_scenario(1), COOPERATION_EP]
+
+
+@pytest.mark.parametrize("s", NULL_CASES, ids=[s.label for s in NULL_CASES])
+def test_liouvillian_null_vector_gives_the_limit(s):
+    # the stationary rho of the master equation, of trace 1, against the
+    # limit of the bath term's Lyapunov solve: 7.3e-15 on fig2, the lstsq
+    # overshoot, and at most 3.5e-15 elsewhere
+    rho = np.linalg.svd(_liouvillian(s))[2][-1].conj().reshape(4, 4)
+    n = (rho.diagonal() / rho.trace()).real @ np.transpose(_N_DIAG)
+    assert np.abs(n - stationary_limit(s.params, s.reservoir)).max() <= 1e-14
 
 
 def eigen_scale(grid):
@@ -150,12 +247,6 @@ def test_propagator_residual_smooth_regime_bound():
     for dt in (2e-4, 1e-4):
         grid = propagator(U, 0.1, dt)
         assert propagator_residual(grid) <= 32 * EPS * eigen_scale(grid)
-
-
-DEFECT_CASES = ([PRESETS[name] for name in sorted(PRESETS)]
-                + [ep_scenario(seed) for seed in (1, 2, 3)]
-                + [dataclasses.replace(PRESETS["fig3-left"], t_max=20.0,
-                                       label="fig3-left-t20")])
 
 
 @pytest.mark.parametrize("s", DEFECT_CASES, ids=[s.label for s in DEFECT_CASES])
