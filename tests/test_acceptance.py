@@ -16,8 +16,7 @@ from time import perf_counter
 import numpy as np
 from scipy.linalg import expm
 
-from conftest import grid_rows
-from test_algebra import build_basis, car_residual
+from conftest import build_basis, car_residual, grid_rows
 import qduet
 from qduet.algebra import build_mode_operators, number_operators
 from qduet.analysis import noise_metric

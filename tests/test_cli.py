@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, empty_slots
-from test_g17 import hard_values
+from hard import hard_values, slow_scenario
 from qduet import _g17, cli, oracle
 from qduet.cli import CSV_HEADER, list_presets, main, write_csv, write_svg
 from qduet.dynamics import DecisionSeries, decision_series, stationary_limit
@@ -258,7 +258,7 @@ def test_bad_analysis_setting_is_config_error(tmp_path, capsys, flags, message):
     if "--all-presets" in flags:
         source = []
     elif "--dt" in flags:
-        source = ["--scenario", slow_scenario(tmp_path)]
+        source = ["--scenario", slow_scenario_file(tmp_path)]
     else:
         source = ["--preset", "fig1-left"]
     out_dir = tmp_path / "out"
@@ -268,19 +268,16 @@ def test_bad_analysis_setting_is_config_error(tmp_path, capsys, flags, message):
     assert not out_dir.exists()
 
 
-def slow_scenario(tmp_path):
+def slow_scenario_file(tmp_path):
     # rates small enough for dt = 0.4 to pass the grid rule
     path = tmp_path / "slow.json"
-    path.write_text(json.dumps({
-        **scenario_to_dict(PRESETS["fig1-left"]),
-        "omega1": 0.1, "omega2": 0.1, "Omega1": 1.0, "Omega2": 1.0,
-        "lambda1": 0.1, "lambda2": 0.1, "mu_ex": 0.1}))
+    save_scenario(slow_scenario(), path)
     return str(path)
 
 
 def test_window_may_reach_the_last_grid_point(tmp_path, capsys):
     code, out, err = run_cli(
-        ["--scenario", slow_scenario(tmp_path), "--t-max", "0.3", "--dt", "0.1",
+        ["--scenario", slow_scenario_file(tmp_path), "--t-max", "0.3", "--dt", "0.1",
          "--window", repr(3 * 0.1), "--no-csv"], capsys)
     assert code == 0, err
     assert out.count("window=0.3)") == 2

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hard import hard_values
 from qduet import _g17
 from qduet.cli import main
 
@@ -30,30 +31,6 @@ def count_fallbacks(monkeypatch):
         return fallback(x)
     monkeypatch.setattr(_g17, "_fallback", counting)
     return seen
-
-
-def with_neighbours(values):
-    values = np.asarray(values, dtype=float)
-    return np.concatenate([values, np.nextafter(values, 0.0),
-                           np.nextafter(values, np.inf)])
-
-
-def hard_values():
-    rng = np.random.default_rng(17)
-    # float("1e-30") is correctly rounded; 10.0 ** -30 need not be
-    powers = [float(f"1e{k}") for k in range(-30, 21)]
-    switches = [1e-5, 1e-4, 1e16, 1e17]  # where %g changes its layout
-    integers = rng.integers(10 ** 16, 10 ** 17, 2000).astype(float)
-    # m * 2**e has as many decimal digits as m * 5**-e: many end in an
-    # exact tie at the 18th digit
-    dyadic = np.ldexp(rng.integers(1, 2 ** 20, 4000).astype(float),
-                      rng.integers(-45, 1, 4000))
-    limits = [1e-280, 1e280]
-    special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-               np.inf, np.nan, 0.1, 0.5, 1.0, 2.0 ** 53, 2.0 ** -25]
-    pool = np.concatenate([with_neighbours(powers + switches + limits),
-                           integers, dyadic, special])
-    return np.concatenate([pool, -pool])
 
 
 def test_hard_values_format_as_percent_g():

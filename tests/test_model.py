@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import amplitude_vectors
+from hard import hard_params, make_params, slow_scenario
 from qduet import model
 from qduet.model import (
     CALPHA1,
@@ -39,22 +40,6 @@ from qduet.model import (
 TOL = 1e-12
 
 
-def make_params(**kw):
-    base = dict(omega1=1.0, omega2=2.0, Omega1=0.1, Omega2=0.1,
-                lambda1=0.5, lambda2=0.5, mu_ex=0.0, mu_coop=0.0)
-    base.update(kw)
-    return ModelParams(**base)
-
-
-params_strategy = st.builds(
-    make_params,
-    omega1=st.floats(-3, 3), omega2=st.floats(-3, 3),
-    Omega1=st.floats(0.1, 2.0), Omega2=st.floats(0.1, 2.0),
-    lambda1=st.floats(0, 1.5), lambda2=st.floats(0, 1.5),
-    mu_ex=st.floats(-5, 5), mu_coop=st.floats(-5, 5),
-)
-
-
 def test_generator_first_parameter_set():
     U = build_generator(ModelParams(mu_ex=500.0, mu_coop=0.0, **C1))
     assert type(U) is np.ndarray and U.shape == (4, 4) and U.dtype == complex
@@ -76,8 +61,8 @@ def test_generator_free_case_is_diagonal():
     assert np.abs(U - np.diag([-1.0, -2.0, 1.0, 2.0])).max() <= TOL
 
 
-@given(params=params_strategy)
-@settings(deadline=None)
+@given(params=hard_params())
+@settings(deadline=None, max_examples=140)
 def test_generator_entry_pattern(params):
     U = build_generator(params)
     mx, mc = params.mu_ex, params.mu_coop
@@ -101,8 +86,8 @@ def test_commutator_tables_are_exact():
             assert np.array_equal(T @ B_k - B_k @ T, np.tensordot(row, model._MODES, 1))
 
 
-@given(params=params_strategy)
-@settings(max_examples=300, deadline=None)
+@given(params=hard_params())
+@settings(max_examples=420, deadline=None)
 def test_generator_is_the_heisenberg_generator_of_h(params):
     # [H, B_k] = sum_l (U - i Gamma)_kl B_l.  H's diagonal sums round (its
     # last entry is omega1 + omega2), so the bound is 2 eps max|c|; 0.99 of
@@ -251,14 +236,6 @@ def test_wrong_typed_parameter_is_a_scenario_error():
         ReservoirState(False, 1.0)
     with pytest.raises(ScenarioError, match="^a00 must be a complex number"):
         InitialState(True, 0.0, 0.0, 0.0)
-
-
-def slow_scenario(t_max, dt):
-    # rates slow enough for steps up to 1 to pass the grid rule
-    params = make_params(omega1=0.1, omega2=0.1, Omega1=1.0, Omega2=1.0,
-                         lambda1=0.1, lambda2=0.1, mu_ex=0.1)
-    return Scenario(params=params, reservoir=ReservoirState(0.0, 1.0),
-                    initial=CALPHA1, t_max=t_max, dt=dt)
 
 
 @pytest.mark.parametrize("t_max, dt, nearest", [(0.5, 0.3, "0.6"),

@@ -1,28 +1,35 @@
 """Independent verification paths: master equation, semigroup defect, LTP."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import amplitude_vectors, count_calls, empty_slots
-from test_dynamics import (
-    COOPERATION_EP,
+from conftest import (
     EPS,
-    ep_scenario,
-    exceptional_detunes,
-    exceptional_families,
-    exceptional_params,
-    make_params,
-    near_exceptional_eigen_draws,
+    amplitude_vectors,
+    count_calls,
+    empty_slots,
     stack_bytes,
     stack_error,
+)
+from hard import (
+    HARD,
+    bath_premise,
+    bath_well_posed,
+    damped,
+    eigen_cond,
+    exceptional_params,
+    hard_params,
+    hard_reservoirs,
+    near_exceptional_eigen_draws,
 )
 import qduet.cli  # noqa: F401  (scanned for slots with the package)
 from qduet import dynamics
@@ -42,6 +49,7 @@ from qduet.model import (
     PRESETS,
     ReservoirState,
     Scenario,
+    ScenarioError,
     build_generator,
     closed_hamiltonian,
 )
@@ -142,12 +150,6 @@ def test_total_excitation_conserved_without_cooperation():
     assert np.abs(n.sum(axis=1) - n[0].sum()).max() <= 1e-10
 
 
-DEFECT_CASES = ([PRESETS[name] for name in sorted(PRESETS)]
-                + [ep_scenario(seed) for seed in (1, 2, 3)]
-                + [dataclasses.replace(PRESETS["fig3-left"], t_max=20.0,
-                                       label="fig3-left-t20")])
-
-
 # dev <= ME_C eps max(1, ||L||_1 t_max), times cond(P) on the eigen route.
 # Where ||L||_1 t_max is small the floor is the oracle's own stepping: its
 # E = exp(L m dt) rounds at about 1 eps, and 20 steps add that up (seen
@@ -171,36 +173,60 @@ def master_equation_deviation(s):
     return deviation, EPS * max(1.0, norm * s.t_max) * eigen_scale(dynamics.scenario_grid(s))
 
 
-damped_params = st.builds(
-    make_params,
-    omega1=st.floats(-3, 3), omega2=st.floats(-3, 3),
-    Omega1=st.floats(0.1, 2.0), Omega2=st.floats(0.1, 2.0),
-    lambda1=st.floats(0.2, 1.0), lambda2=st.floats(0.2, 1.0),
-    mu_ex=st.floats(-3, 3), mu_coop=st.floats(-3, 3))
-exceptional_param_draws = st.builds(exceptional_params, exceptional_detunes,
-                                   st.floats(0.05, 3.0), st.floats(0.05, 3.0),
-                                   st.floats(-2.0, 2.0), exceptional_families)
+def drawn_scenario(params, reservoir, alpha, t_max):
+    """A drawn run from alpha at dt = t_max / 2000."""
+    return Scenario(params=params, reservoir=reservoir,
+                    initial=InitialState.from_amplitudes(alpha), t_max=t_max,
+                    dt=t_max / 2000, label="draw")
 
 
-@given(params=st.one_of(damped_params, exceptional_param_draws),
-       N1=st.floats(0.0, 1.0), N2=st.floats(0.0, 1.0),
-       alpha=amplitude_vectors(), t_max=st.floats(0.5, 5.0))
-@settings(deadline=None, max_examples=60)
-def test_master_equation_deviation_is_rounding(params, N1, N2, alpha, t_max):
-    s = Scenario(params=params, reservoir=ReservoirState(N1, N2),
-                 initial=InitialState.from_amplitudes(alpha), t_max=t_max,
-                 dt=t_max / 2000, label="draw")
+@given(params=hard_params(), reservoir=hard_reservoirs(), alpha=amplitude_vectors(),
+       t_max=st.floats(0.5, 5.0))
+@settings(deadline=None, max_examples=100)
+def test_master_equation_deviation_is_rounding(params, reservoir, alpha, t_max):
+    assume(bath_premise(params))
+    try:
+        s = drawn_scenario(params, reservoir, alpha, t_max)
+    except ScenarioError:  # too coarse a grid for the draw's rates
+        reject()
     deviation, scale = master_equation_deviation(s)
     assert deviation <= ME_C * scale
 
 
-@pytest.mark.parametrize("s", DEFECT_CASES + [COOPERATION_EP],
-                         ids=[s.label for s in DEFECT_CASES + [COOPERATION_EP]])
+@pytest.mark.parametrize("s", HARD, ids=lambda s: s.label)
 def test_master_equation_deviation_on_presets_and_exceptional_points(s):
     # measured: 1.33 times the scale at most (fig6-left), 1.6e-13 at most
     # (fig3-left at t_max 20)
     deviation, scale = master_equation_deviation(s)
     assert deviation <= 2 * scale and deviation <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md FOUND: the bath part's least-squares solve "
+                   "loses digits as its operator's sigma_max / sigma_min")
+def test_weakly_damped_run_matches_the_master_equation():
+    # fig6-right with lambda1 = 0 and lambda2 = 1e-7: the Lyapunov
+    # operator's sigma_min / sigma_max is 7.7e-15, the run passes its
+    # run-time checks, and its n misses the master equation by 6.6e-4.
+    # The draws above leave this band out of the damped box
+    # (hard.bath_premise); this case keeps it in view until it is mended
+    base = PRESETS["fig6-right"]
+    s = dataclasses.replace(
+        base, params=dataclasses.replace(base.params, lambda1=0.0, lambda2=1e-7),
+        t_max=2.0, dt=1e-3, label="weak")
+    deviation, scale = master_equation_deviation(s)
+    assert deviation <= 2 * scale
+
+
+@pytest.mark.parametrize("family", ["exchange", "cooperation"])
+def test_bath_premise_admits_every_exceptional_point(family):
+    # the master-equation property has always drawn both families whole,
+    # so its premise may reject none of them: the Lyapunov margin is
+    # smallest at the corner Gamma = (0.05, 0.05), |omega| = 2, 0.025
+    # (also the least of 20000 seeded draws), above BATH_MARGIN
+    for g1, g2, omega, detune in itertools.product(
+            [0.05, 3.0], [0.05, 3.0], [-2.0, 0.0, 2.0], [-1e-3, 0.0, 1e-3]):
+        assert bath_well_posed(exceptional_params(detune, g1, g2, omega, family))
 
 
 def test_master_equation_sees_a_scaled_bath_term(monkeypatch):
@@ -212,10 +238,7 @@ def test_master_equation_sees_a_scaled_bath_term(monkeypatch):
     assert deviation >= 1e-3 > 1e9 * ME_C * scale
 
 
-NULL_CASES = [PRESETS[name] for name in sorted(PRESETS)] + [ep_scenario(1), COOPERATION_EP]
-
-
-@pytest.mark.parametrize("s", NULL_CASES, ids=[s.label for s in NULL_CASES])
+@pytest.mark.parametrize("s", [s for s in HARD if damped(s.params)], ids=lambda s: s.label)
 def test_liouvillian_null_vector_gives_the_limit(s):
     # the stationary rho of the master equation, of trace 1, against the
     # limit of the bath term's Lyapunov solve: 7.3e-15 on fig2, the lstsq
@@ -229,7 +252,7 @@ def eigen_scale(grid):
     """cond(P) of the grid's generator on the eigen route, else 1."""
     if grid.used_fallback:
         return 1.0
-    return max(1.0, np.linalg.cond(np.linalg.eig(grid.generator)[1]))
+    return max(1.0, eigen_cond(grid.generator))
 
 
 def test_propagator_residual_free_case_is_rounding():
@@ -249,7 +272,7 @@ def test_propagator_residual_smooth_regime_bound():
         assert propagator_residual(grid) <= 32 * EPS * eigen_scale(grid)
 
 
-@pytest.mark.parametrize("s", DEFECT_CASES, ids=[s.label for s in DEFECT_CASES])
+@pytest.mark.parametrize("s", HARD, ids=lambda s: s.label)
 def test_propagator_residual_is_rounding_on_presets_and_exceptional_points(s):
     # measured: 24.5 eps at most on the presets (fig1, fig2), 12.5 eps at
     # t_max 20, and 1.0 eps on the exceptional points' table route
@@ -268,7 +291,7 @@ def test_propagator_residual_sees_a_perturbed_stack(stack):
     assert propagator_residual(perturbed) - propagator_residual(grid) >= 5e-13
 
 
-@pytest.mark.parametrize("s", DEFECT_CASES, ids=[s.label for s in DEFECT_CASES])
+@pytest.mark.parametrize("s", HARD, ids=lambda s: s.label)
 def test_form_defect_is_rounding_on_presets_and_exceptional_points(s):
     # measured: 0.25 eps at most (fig3), 0.094 eps on the exceptional
     # points' table route
@@ -293,7 +316,7 @@ def test_propagator_residual_tracks_the_eigen_route_error_near_the_switch():
     for s in near_exceptional_eigen_draws(8):
         U = build_generator(s.params)
         grid = propagator(U, s.t_max, s.dt)
-        cond = np.linalg.cond(np.linalg.eig(U)[1])
+        cond = eigen_cond(U)
         error = stack_error(U, grid)
         defect = propagator_residual(grid)
         assert not grid.used_fallback and cond > 100
@@ -359,19 +382,51 @@ def test_ltp_residual_vanishes_for_basis_states():
             assert not R.any()
 
 
-LTP_CASES = [PRESETS[name] for name in sorted(PRESETS)] + [ep_scenario(seed)
-                                                          for seed in (1, 2, 3)]
-
-
-@pytest.mark.parametrize("s", LTP_CASES, ids=[s.label for s in LTP_CASES])
-def test_ltp_residual_is_the_classical_mix_subtracted(s):
-    # the one-product prediction against the sum written out term by term
+def classical_mix_error(s):
+    """max |R - (n - sum_km |alpha_km|^2 n_km)|, the sum written out term by term."""
     _, R = ltp_residual(s)
     expected = decision_series(s).n.copy()
     weights = np.abs(s.initial.amplitudes) ** 2
     for w, n in zip(weights, dynamics.conditional_stack(s)):
         expected -= w * n.T
-    assert np.abs(R - expected).max() <= 4 * EPS
+    return np.abs(R - expected).max()
+
+
+@pytest.mark.parametrize("s", HARD, ids=lambda s: s.label)
+def test_ltp_residual_is_the_classical_mix_subtracted(s):
+    # the one-product prediction against the sum written out term by term
+    assert classical_mix_error(s) <= 4 * EPS
+
+
+@given(params=hard_params(), reservoir=hard_reservoirs(), alpha=amplitude_vectors(),
+       t_max=st.floats(0.5, 20.0))
+@settings(deadline=None, max_examples=100)
+def test_hard_draws_keep_the_contract(params, reservoir, alpha, t_max):
+    """Aim 3's contract: a drawn scenario runs, and every oracle reads
+    within its bound, or it fails with a ScenarioError or a NumericalError;
+    any other exception fails the test.  Every HARD member meets each of
+    these oracles, at its tighter member bound, above.
+
+    An undamped run's phases round at eps |w| t, so on a long draw the
+    members' fixed 32 eps cond(P) and 1 eps read up to 92.8 eps cond(P)
+    and 2.5 eps.  The propagator defect keeps 32 eps cond(P) and gets
+    twice the master equation's scale, eps max(1, ||L||_1 t_max) cond(P),
+    where that is larger; the form defect gets 4 times that scale.  In
+    3000 seeded draws the propagator defect read at most 0.78 of
+    max(32 eps cond(P), scale), the form defect 2.5 times the scale.
+    """
+    assume(bath_premise(params))
+    try:
+        s = drawn_scenario(params, reservoir, alpha, t_max)
+        decision_series(s)
+        grid = dynamics.scenario_grid(s)
+        deviation, scale = master_equation_deviation(s)
+        assert deviation <= ME_C * scale
+        assert propagator_residual(grid) <= max(32 * EPS * eigen_scale(grid), 2 * scale)
+        assert form_defect(grid) <= 4 * scale
+        assert classical_mix_error(s) <= 4 * EPS
+    except (ScenarioError, NumericalError):
+        pass
 
 
 BASES = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -403,10 +458,10 @@ def test_conditional_runs_are_views_of_one_kept_array(monkeypatch):
         assert n.tobytes() == run.n.tobytes()
 
 
-@pytest.mark.parametrize("s", LTP_CASES, ids=[s.label for s in LTP_CASES])
+@pytest.mark.parametrize("s", HARD, ids=lambda s: s.label)
 def test_conditional_runs_are_the_runs_from_basis_states(s):
     # mu + nB in each slot is, bit for bit, the n of the full run
-    # mu + dmu + nB from that basis state, on every preset and ep-1 to ep-3
+    # mu + dmu + nB from that basis state, on every hard member
     for n, (k, l) in zip(dynamics.conditional_stack(s), BASES):
         run = decision_series(dataclasses.replace(
             s, initial=InitialState.basis_state(k, l)))
