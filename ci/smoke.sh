@@ -6,19 +6,22 @@
 #
 # Fails unless the propagator defect it prints is at rounding scale
 # (5.4e-15 on fig1-left), and so are the form defect (2.8e-17 on
-# fig1-left), the master-equation deviation (1.6e-14 on fig1-left) and the
-# LTP residual's distance to dmu (1.9e-16 on fig1-left, 1.4e-16 to 2.3e-16
+# fig1-left), the master-equation deviation (1.2e-14 on fig1-left) and the
+# LTP residual's distance to dmu (1.8e-16 on fig1-left, 1.5e-16 to 2.5e-16
 # on the presets).  The master-equation deviation ties the whole run, bath
 # included, to the Lindblad equation under the same H.  A closed run
 # (lambda1 = lambda2 = 0), where that equation is the Schrodinger
 # evolution under H, must read at rounding scale too: master-equation
-# deviation 5.2e-15 and form defect 1.7e-16.  Three runs
+# deviation 5.2e-15 and form defect 1.7e-16.  So must a weakly damped run,
+# fig6-right at lambda = (0, 1e-7) and t_max 2, whose bath Lyapunov
+# operator is nearly singular: master-equation deviation 7.4e-15 and LTP
+# distance 2.9e-16.  Three runs
 # lie above the eigen route's limit, cond(P) <= 1e3, and each must take
 # the table route with its defect at rounding scale: the exchange
 # exceptional point (cond(P) 9.0e7, defect 2.2e-16), a point just off it
 # (cond(P) 3.2e3, 2.1e-16) and the cooperation exceptional point (cond(P)
 # 9.0e7, 2.4e-16, with an LTP distance of 2.2e-16 and a master-equation
-# deviation of 7.8e-16).  Outputs go to
+# deviation of 6.7e-16).  Outputs go to
 # $RUNNER_TEMP when it is set, made if missing, else to a new temporary
 # directory.
 set -eo pipefail
@@ -102,6 +105,22 @@ deviation=$(sed -n 's/^oracle: master-equation deviation \([^ ]*\)$/\1/p' "$tmp/
 at_most "$deviation" 1e-13
 form=$(sed -n 's/^oracle: form defect \([^ ]*\)$/\1/p' "$tmp/closed.out")
 at_most "$form" 1e-13
+
+# fig6-right with lambda1 = 0 and lambda2 = 1e-7: a weakly damped bath
+# feed, whose Lyapunov operator has sigma_min / sigma_max = 7.7e-15
+cat > "$tmp/weak.json" <<'JSON'
+{"omega1": 1.0, "omega2": 2.0, "Omega1": 0.1, "Omega2": 0.1,
+ "lambda1": 0.0, "lambda2": 1e-7,
+ "mu_ex": 10.0, "mu_coop": 10.0, "N1": 0.0, "N2": 1.0,
+ "alpha": [[0.0, 0.5], [0.0, -0.5], [0.5, 0.0], [-0.5, 0.0]],
+ "t_max": 2.0, "dt": 0.0001, "label": "weak"}
+JSON
+qduet --scenario "$tmp/weak.json" --oracle --ltp --no-csv --out "$tmp/smoke" > "$tmp/weak.out"
+cat "$tmp/weak.out"
+deviation=$(sed -n 's/^oracle: master-equation deviation \([^ ]*\)$/\1/p' "$tmp/weak.out")
+at_most "$deviation" 1e-13
+ident=$(sed -n 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' "$tmp/weak.out")
+at_most "$ident" 1e-14
 
 # a second source is a usage error: exit status 1
 status=0

@@ -301,9 +301,7 @@ def run_one(s: Scenario, args: argparse.Namespace) -> None:
         route = "fallback" if grid.used_fallback else "eigendecomposition"
         print(f"oracle: propagator defect {residual:.6g} at dt={s.dt:g} ({route})")
         print(f"oracle: form defect {oracle.form_defect(grid):.6g}")
-        last = len(series.times) - 1  # 21 points m steps apart, and t_max
-        points = np.r_[np.arange(0, last, max(1, last // 20))[:21], last]
-        dev = np.abs(series.n[points] - oracle.master_equation_n(s, points)).max()
+        dev = oracle.master_equation_deviation(s)
         print(f"oracle: master-equation deviation {dev:.6g}")
 
     if args.ltp:

@@ -18,16 +18,11 @@ for a Hermitian 4x4 weight W:
     initial state psi.  mu_j is linear in the probabilities |alpha_kl|^2,
     so it obeys the classical law of total probability on its own; the
     interference part dmu_j vanishes for any single basis state.
-  * nB_j = 2 pi (integral from 0 to t of V D V^dag ds)_jj, the bath feed,
-    with D = diag(k1 N1, k2 N2, k1 (1 - N1), k2 (1 - N2)) and
-    k_j = lambda_j^2/Omega_j.  With A = i U the derivative of V N V^dag
-    is V (A N + N A^dag) V^dag, so any solution N of the Lyapunov
-    equation A N + N A^dag = D gives the integral exactly as
-    V N V^dag - N, and nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) on either
-    propagator route.  A decoupled player (lambda_j = 0) makes the
-    equation singular; any least-squares N is still exact, because a null
-    solution X obeys A X + X A^dag = 0, is constant under the flow and
-    cancels.  Where V(t) -> 0, n_j -> -2 pi Re N_jj: stationary_limit.
+  * nB_j = 2 pi Q(t)_jj, the bath feed, with Q(t) the integral from 0 to t
+    of V D V^dag ds, D = diag(k1 N1, k2 N2, k1 (1 - N1), k2 (1 - N2)),
+    k_j = lambda_j^2/Omega_j: by the semigroup law of Q, a form on the
+    grid's terms from one exact step Q(dt) (bath_contribution).  Where
+    V(t) -> 0, Q -> -N with A N + N A^dag = D, A = i U: stationary_limit.
 
 A propagator grid is a value of (U, t_max, dt): its times are
 make_times(t_max, dt), its generator a read-only copy of U, and of V it
@@ -279,7 +274,7 @@ def propagator(U: np.ndarray, t_max: float, dt: float) -> PropagatorGrid:
 
 
 def _expm_stack(M: np.ndarray) -> np.ndarray:
-    """exp(M) for each matrix of an (m, 4, 4) stack.
+    """exp(M) for each matrix of an (m, n, n) stack.
 
     Scaling and squaring: each M is divided by 2^s, s = ceil(log2 ||M||_1)
     (at least 0), so the degree-18 Taylor series runs on a norm of at most
@@ -288,9 +283,9 @@ def _expm_stack(M: np.ndarray) -> np.ndarray:
     """
     s = np.ceil(np.log2(np.maximum(np.abs(M).sum(axis=-2).max(axis=-1), 1.0)))
     X = M / np.exp2(s)[:, None, None]
-    E = np.eye(4)
+    E = eye = np.eye(M.shape[-1])
     for k in range(18, 0, -1):
-        E = np.eye(4) + X @ E / k
+        E = eye + X @ E / k
     for i in range(int(s.max())):
         E = np.where((s > i)[:, None, None], E @ E, E)
     return E
@@ -343,53 +338,57 @@ def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     return _player_forms(grid, np.where(_DIAGONAL, 0, _gram(initial)))
 
 
-def _bath_solution(U: np.ndarray, params: ModelParams,
-                   reservoir: ReservoirState) -> np.ndarray:
-    """The least-squares 4x4 N of A N + N A^dag = D, A = i U; no grid."""
-    A = 1j * U
+def _diffusion(params: ModelParams, reservoir: ReservoirState) -> np.ndarray:
+    """D = diag(k1 N1, k2 N2, k1 (1 - N1), k2 (1 - N2)), k_j = lambda_j^2/Omega_j."""
     k1 = params.lambda1 ** 2 / params.Omega1
     k2 = params.lambda2 ** 2 / params.Omega2
     N1, N2 = reservoir.N1, reservoir.N2
-    D = np.diag([k1 * N1, k2 * N2, k1 * (1.0 - N1), k2 * (1.0 - N2)])
-    eye = np.eye(4)
-    L = np.kron(A, eye) + np.kron(eye, A.conj())
-    N = np.linalg.lstsq(L, D.reshape(16).astype(complex), rcond=None)[0]
-    # clear the lstsq noise, below 1e-16, where N is zero in exact
-    # arithmetic (on fig2-left N = c diag(1, 1, 0, 0)); without it the
-    # fig2 and fig6 tables move by up to 4.4e-16.  A decoupled player's
-    # feed is exactly zero either way.
-    N[np.abs(N) < 1e-14 * np.abs(N).max()] = 0.0
-    return N.reshape(4, 4)
+    return np.diag([k1 * N1, k2 * N2, k1 * (1.0 - N1), k2 * (1.0 - N2)])
 
 
 def bath_contribution(reservoir: ReservoirState, params: ModelParams,
                       grid: PropagatorGrid) -> np.ndarray:
-    """Bath part of both decision functions on the grid.
+    """Bath part of both decision functions on the grid, 2 pi Q(t)_jj.
 
-    nB_j = 2 pi (f_j^{N^T}(t) - f_j^{N^T}(0)) with N the least-squares
-    solution of A N + N A^dag = D, A = i grid.generator, from the solve
-    stationary_limit shares; exact on either route.  Shape as in mu_player.
+    Q(dt) = F_12 F_11^dag for F = exp([[A, D], [0, -A^dag]] dt), A = i U
+    (Van Loan 1978).  By the semigroup law Q(s + t) = Q(s) + V(s) Q(t)
+    V(s)^dag, Q(t_b)^T is the running sum of the inner forms
+    conj(I_c) Q(dt)^T I_c^T over c < b, and the offsets Q(t_qB)_jj are the
+    running sum of the outer forms of Q(t_B): the grid's terms, read as mu
+    reads them, on either route.  nB(0) is +0.0.  Shape as in mu_player.
     """
-    N = _bath_solution(grid.generator, params, reservoir)
-    f = _player_forms(grid, N.T)
-    f -= f[:, :1].copy()
-    f *= 2.0 * np.pi
-    return f
+    A = 1j * grid.generator
+    block = np.block([[A, _diffusion(params, reservoir)],
+                      [np.zeros((4, 4)), -A.conj().T]])
+    F = _expm_stack(block[None] * grid.times[1])[0]
+    step = 2.0 * np.pi * _hermitian_params(F[:4, :4].conj() @ F[:4, 4:].T)
+    steps = (step @ grid.inner_terms).reshape(16, -1)  # of 2 pi (Q(t_c+1) - Q(t_c))^T
+    weights = np.zeros_like(steps)  # [:, b] of 2 pi Q(t_b)^T
+    np.cumsum(steps[:, :-1], axis=1, out=weights[:, 1:])
+    f = (grid.outer_terms @ weights).reshape(2, -1, steps.shape[1])  # [j, q, b]
+    period = grid.outer_terms @ (weights[:, -1] + steps[:, -1])  # of 2 pi Q(t_B)
+    offsets = np.zeros((2, f.shape[1], 1))  # 2 pi Q(t_qB)_jj
+    np.cumsum(period.reshape(2, -1)[:, :-1], axis=1, out=offsets[:, 1:, 0])
+    f += offsets
+    return f.reshape(2, -1)[:, :len(grid.times)]
 
 
 def stationary_limit(params: ModelParams,
                      reservoir: ReservoirState) -> tuple[float, float] | None:
-    """(n1(inf), n2(inf)) = -2 pi Re (N_11, N_22), N of bath_contribution.
+    """(n1(inf), n2(inf)) = -2 pi Re (N_11, N_22), A N + N A^dag = D, A = i U.
 
     Only if both Gamma_j > 0: then A + A^dag = -2 diag(Gamma1, Gamma2,
-    Gamma1, Gamma2) is negative definite, so ||V(t)||_2 <= exp(-Gamma_min t)
-    and |n_j(t) - n_j(inf)| <= ||G + 2 pi N^T||_2 exp(-2 Gamma_min t) for
-    any initial Gram matrix G.  An undamped player gives None.  No grid.
+    Gamma1, Gamma2) is negative definite, so ||V(t)||_2 <= exp(-Gamma_min t),
+    Q(t) -> -N, the equation's Kronecker operator is nonsingular, and
+    |n_j(t) - n_j(inf)| <= ||G + 2 pi N^T||_2 exp(-2 Gamma_min t) for any
+    initial Gram matrix G.  An undamped player gives None.  No grid.
     """
     if not (params.gamma1 > 0.0 and params.gamma2 > 0.0):
         return None
-    N = _bath_solution(build_generator(params), params, reservoir)
-    n1, n2 = -2.0 * np.pi * N.diagonal()[:2].real + 0.0  # no -0.0
+    A = 1j * build_generator(params)
+    L = np.kron(A, np.eye(4)) + np.kron(np.eye(4), A.conj())
+    N = np.linalg.solve(L, _diffusion(params, reservoir).reshape(16))
+    n1, n2 = -2.0 * np.pi * N[[0, 5]].real + 0.0  # N_11, N_22; no -0.0
     return float(n1), float(n2)
 
 

@@ -6,8 +6,9 @@ Hamiltonian; the third checks the grid's form terms against its own
 stacks, and the fourth is built from production runs:
 
   * master_equation_n: n_j(t) from the Lindblad equation under model's H
-    and modes, against production's U, stacks, forms and bath Lyapunov
-    solve; at lambda1 = lambda2 = 0 it is the closed Schrodinger evolution.
+    and modes, against production's U, stacks, forms and bath term;
+    master_equation_deviation reads it at the points --oracle samples.  At
+    lambda1 = lambda2 = 0 it is the closed Schrodinger evolution.
 
   * propagator_residual: the one-step semigroup defect of the two factor
     stacks a grid keeps, against E = exp(i U dt) for the grid's own
@@ -55,6 +56,7 @@ from .model import _MODES, _N_DIAG, Scenario, closed_hamiltonian
 
 __all__ = [
     "master_equation_n",
+    "master_equation_deviation",
     "propagator_residual",
     "form_defect",
     "ltp_residual",
@@ -83,6 +85,15 @@ def master_equation_n(s: Scenario, points) -> np.ndarray:
         rho = E[g] @ rho
         diagonals.append(rho[::5].real)  # rho_00 .. rho_33 of the row-stacked rho
     return np.array(diagonals) @ np.transpose(_N_DIAG)
+
+
+def master_equation_deviation(s: Scenario) -> float:
+    """max |n_j - n_j^ME| over both players of the run of s, at 21 grid points
+    m = max(1, (nt - 1) // 20) steps apart from 0, and at t_max."""
+    series = decision_series(s)
+    last = len(series.times) - 1
+    points = np.r_[np.arange(0, last, max(1, last // 20))[:21], last]
+    return float(np.abs(series.n[points] - master_equation_n(s, points)).max())
 
 
 def _liouvillian(s: Scenario) -> np.ndarray:

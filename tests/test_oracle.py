@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -22,7 +22,6 @@ from conftest import (
 )
 from hard import (
     HARD,
-    bath_premise,
     bath_well_posed,
     damped,
     eigen_cond,
@@ -32,7 +31,7 @@ from hard import (
     near_exceptional_eigen_draws,
 )
 import qduet.cli  # noqa: F401  (scanned for slots with the package)
-from qduet import dynamics
+from qduet import dynamics, oracle
 from qduet.dynamics import (
     NumericalError,
     decision_series,
@@ -165,12 +164,9 @@ def master_equation_deviation(s):
     The scale is eps max(1, ||L||_1 t_max), times cond(P) where the grid
     takes the eigen route, which rounds at eps cond(P).
     """
-    series = decision_series(s)
-    last = len(series.times) - 1
-    points = np.r_[np.arange(0, last, max(1, last // 20))[:21], last]
-    deviation = np.abs(series.n[points] - master_equation_n(s, points)).max()
     norm = np.abs(_liouvillian(s)).sum(axis=0).max()
-    return deviation, EPS * max(1.0, norm * s.t_max) * eigen_scale(dynamics.scenario_grid(s))
+    scale = EPS * max(1.0, norm * s.t_max) * eigen_scale(dynamics.scenario_grid(s))
+    return oracle.master_equation_deviation(s), scale
 
 
 def drawn_scenario(params, reservoir, alpha, t_max):
@@ -184,7 +180,6 @@ def drawn_scenario(params, reservoir, alpha, t_max):
        t_max=st.floats(0.5, 5.0))
 @settings(deadline=None, max_examples=100)
 def test_master_equation_deviation_is_rounding(params, reservoir, alpha, t_max):
-    assume(bath_premise(params))
     try:
         s = drawn_scenario(params, reservoir, alpha, t_max)
     except ScenarioError:  # too coarse a grid for the draw's rates
@@ -201,27 +196,10 @@ def test_master_equation_deviation_on_presets_and_exceptional_points(s):
     assert deviation <= 2 * scale and deviation <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="CHANGES.md FOUND: the bath part's least-squares solve "
-                   "loses digits as its operator's sigma_max / sigma_min")
-def test_weakly_damped_run_matches_the_master_equation():
-    # fig6-right with lambda1 = 0 and lambda2 = 1e-7: the Lyapunov
-    # operator's sigma_min / sigma_max is 7.7e-15, the run passes its
-    # run-time checks, and its n misses the master equation by 6.6e-4.
-    # The draws above leave this band out of the damped box
-    # (hard.bath_premise); this case keeps it in view until it is mended
-    base = PRESETS["fig6-right"]
-    s = dataclasses.replace(
-        base, params=dataclasses.replace(base.params, lambda1=0.0, lambda2=1e-7),
-        t_max=2.0, dt=1e-3, label="weak")
-    deviation, scale = master_equation_deviation(s)
-    assert deviation <= 2 * scale
-
-
 @pytest.mark.parametrize("family", ["exchange", "cooperation"])
 def test_bath_premise_admits_every_exceptional_point(family):
-    # the master-equation property has always drawn both families whole,
-    # so its premise may reject none of them: the Lyapunov margin is
+    # the limit property draws both families, and its premise may reject
+    # none of them (hard.bath_premise): the Lyapunov margin is
     # smallest at the corner Gamma = (0.05, 0.05), |omega| = 2, 0.025
     # (also the least of 20000 seeded draws), above BATH_MARGIN
     for g1, g2, omega, detune in itertools.product(
@@ -230,10 +208,10 @@ def test_bath_premise_admits_every_exceptional_point(family):
 
 
 def test_master_equation_sees_a_scaled_bath_term(monkeypatch):
-    # the bath term's N scaled by 1.01 passes the run-time checks on
+    # the bath term's D scaled by 1.01 passes the run-time checks on
     # fig6-left, and the deviation reads 6.9e-3
-    solve = dynamics._bath_solution
-    monkeypatch.setattr(dynamics, "_bath_solution", lambda *args: 1.01 * solve(*args))
+    diffusion = dynamics._diffusion
+    monkeypatch.setattr(dynamics, "_diffusion", lambda *args: 1.01 * diffusion(*args))
     deviation, scale = master_equation_deviation(PRESETS["fig6-left"])
     assert deviation >= 1e-3 > 1e9 * ME_C * scale
 
@@ -241,11 +219,10 @@ def test_master_equation_sees_a_scaled_bath_term(monkeypatch):
 @pytest.mark.parametrize("s", [s for s in HARD if damped(s.params)], ids=lambda s: s.label)
 def test_liouvillian_null_vector_gives_the_limit(s):
     # the stationary rho of the master equation, of trace 1, against the
-    # limit of the bath term's Lyapunov solve: 7.3e-15 on fig2, the lstsq
-    # overshoot, and at most 3.5e-15 elsewhere
+    # limit's Lyapunov solve: 2.2e-16 at most
     rho = np.linalg.svd(_liouvillian(s))[2][-1].conj().reshape(4, 4)
     n = (rho.diagonal() / rho.trace()).real @ np.transpose(_N_DIAG)
-    assert np.abs(n - stationary_limit(s.params, s.reservoir)).max() <= 1e-14
+    assert np.abs(n - stationary_limit(s.params, s.reservoir)).max() <= 1e-15
 
 
 def eigen_scale(grid):
@@ -415,7 +392,6 @@ def test_hard_draws_keep_the_contract(params, reservoir, alpha, t_max):
     3000 seeded draws the propagator defect read at most 0.78 of
     max(32 eps cond(P), scale), the form defect 2.5 times the scale.
     """
-    assume(bath_premise(params))
     try:
         s = drawn_scenario(params, reservoir, alpha, t_max)
         decision_series(s)
