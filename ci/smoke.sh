@@ -4,26 +4,25 @@
 #
 # Usage: bash ci/smoke.sh   (with `qduet` on PATH)
 #
-# Fails unless the propagator defect it prints is at rounding scale
-# (5.4e-15 on fig1-left), and so are the form defect (2.8e-17 on
-# fig1-left), the master-equation deviation (1.2e-14 on fig1-left) and the
-# LTP residual's distance to dmu (1.8e-16 on fig1-left, 1.5e-16 to 2.5e-16
-# on the presets).  The master-equation deviation ties the whole run, bath
-# included, to the Lindblad equation under the same H.  A closed run
-# (lambda1 = lambda2 = 0), where that equation is the Schrodinger
-# evolution under H, must read at rounding scale too: master-equation
-# deviation 5.2e-15 and form defect 1.7e-16.  So must a weakly damped run,
-# fig6-right at lambda = (0, 1e-7) and t_max 2, whose bath Lyapunov
-# operator is nearly singular: master-equation deviation 7.4e-15 and LTP
-# distance 2.9e-16.  Three runs
-# lie above the eigen route's limit, cond(P) <= 1e3, and each must take
-# the table route with its defect at rounding scale: the exchange
-# exceptional point (cond(P) 9.0e7, defect 2.2e-16), a point just off it
-# (cond(P) 3.2e3, 2.1e-16) and the cooperation exceptional point (cond(P)
-# 9.0e7, 2.4e-16, with an LTP distance of 2.2e-16 and a master-equation
-# deviation of 6.7e-16).  Outputs go to
-# $RUNNER_TEMP when it is set, made if missing, else to a new temporary
-# directory.
+# One run of all eight presets must print each oracle line and the ltp
+# line once per preset, each at rounding scale: the propagator defect
+# (3.3e-16 to 5.4e-15), the form defect (2.8e-17 to 8.3e-17), the
+# master-equation deviation (2.9e-15 to 1.2e-14) and the LTP residual's
+# distance to dmu (1.4e-16 to 2.4e-16).  The master-equation deviation
+# ties the whole run, bath included, to the Lindblad equation under the
+# same H.  A closed run (lambda1 = lambda2 = 0), where that equation is
+# the Schrodinger evolution under H, must read at rounding scale too:
+# master-equation deviation 5.2e-15 and form defect 1.7e-16.  So must a
+# weakly damped run, fig6-right at lambda = (0, 1e-7) and t_max 2, whose
+# bath Lyapunov operator is nearly singular: master-equation deviation
+# 7.3e-15 and LTP distance 3.1e-16.  Three runs lie above the eigen
+# route's limit, cond(P) <= 1e3, and each must take the table route with
+# its defect at rounding scale: the exchange exceptional point (cond(P)
+# 9.0e7, defect 2.2e-16), a point just off it (cond(P) 3.2e3, 2.1e-16)
+# and the cooperation exceptional point (cond(P) 9.0e7, 2.4e-16, with an
+# LTP distance of 2.2e-16 and a master-equation deviation of 4.4e-16).
+# Outputs go to $RUNNER_TEMP when it is set, made if missing, else to a
+# new temporary directory.
 set -eo pipefail
 
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
@@ -35,19 +34,20 @@ at_most() {
 }
 
 qduet --list-presets
-qduet --preset fig1-left --oracle --out "$tmp/smoke" > "$tmp/smoke.out"
-cat "$tmp/smoke.out"
-defect=$(sed -n 's/^oracle: propagator defect \([^ ]*\) at .*/\1/p' "$tmp/smoke.out")
-at_most "$defect" 1e-13
-form=$(sed -n 's/^oracle: form defect \([^ ]*\)$/\1/p' "$tmp/smoke.out")
-at_most "$form" 1e-13
-deviation=$(sed -n 's/^oracle: master-equation deviation \([^ ]*\)$/\1/p' "$tmp/smoke.out")
-at_most "$deviation" 1e-13
-
-qduet --preset fig1-left --ltp --no-csv --out "$tmp/smoke" > "$tmp/ltp.out"
-cat "$tmp/ltp.out"
-ident=$(sed -n 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' "$tmp/ltp.out")
-at_most "$ident" 1e-14
+qduet --all-presets --oracle --ltp --no-csv --out "$tmp/smoke" > "$tmp/presets.out"
+cat "$tmp/presets.out"
+# exactly one value per preset from the sed expression $1, each at most $2
+each_preset_at_most() {
+  values=$(sed -n "$1" "$tmp/presets.out")
+  test "$(printf '%s\n' "$values" | grep -c .)" -eq 8
+  for value in $values; do
+    at_most "$value" "$2"
+  done
+}
+each_preset_at_most 's/^oracle: propagator defect \([^ ]*\) at .*/\1/p' 1e-13
+each_preset_at_most 's/^oracle: form defect \([^ ]*\)$/\1/p' 1e-13
+each_preset_at_most 's/^oracle: master-equation deviation \([^ ]*\)$/\1/p' 1e-13
+each_preset_at_most 's/^ltp: .*max |R - dmu|=\([^ ]*\)$/\1/p' 1e-14
 
 # omega = Omega = (1, 1), lambda_j = sqrt(Gamma_j / pi) with Gamma = (2, 1)
 # and mu_ex = 0.5: U is defective

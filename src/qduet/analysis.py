@@ -151,12 +151,12 @@ def decision_time(series: DecisionSeries, epsilon: float = 0.01,
     for j in (0, 1):
         values = series.n[:, j]
         spans = _window_spans(values, min(w_samples + 1, len(values)))
-        ok = spans < epsilon
-        stable_from_here = np.logical_and.accumulate(ok[::-1])[::-1]
-        if stable_from_here.any():
-            idx = int(np.argmax(stable_from_here))
+        # tau is one past the last unstable window; a nan span is unstable
+        unstable = np.flatnonzero(~(spans < epsilon))
+        idx = int(unstable[-1]) + 1 if len(unstable) else 0
+        if idx < len(spans):
             tau = float(series.times[idx])
-            o = _odds_value(float(_clamp(values[idx : idx + 1])[0]))
+            o = _odds_value(float(_clamp(values[idx])))
             outcomes.append(DecisionOutcome(
                 player=j + 1, tau=tau, odds_at_tau=o, decision=_decide(o),
                 epsilon=epsilon, window=window))

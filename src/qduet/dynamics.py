@@ -35,22 +35,22 @@ splits over the two stacks,
     f_j^W(t_{qB+b}) = sum_mn conj(O_q[j, m]) O_q[j, n] M_b[m, n],
     M_b = conj(I_b) W I_b^T,
 
-and both factors are Hermitian in (m, n).  A Hermitian 4x4 matrix is
-16 real parameters, Re X_mm, then Re X_mn and Im X_mn for m < n, and the
-sum is real: Re X_mm Y_mm + 2 (Re X_mn Re Y_mn - Im X_mn Im Y_mn) over
-the parameters of the two factors.  The outer products
-conj(O_q[j, m]) O_q[j, n] depend on the grid alone, so the grid keeps
-their scaled parameters, as a (2 nq, 16) real matrix.  M_b is real-linear
-in the parameters of W, with coefficients fixed by the grid, which keeps
+and both factors are Hermitian in (m, n).  A Hermitian 4x4 matrix X is
+one real 4x4 matrix, P(X) = Re X + Im X (_pack): Re X is symmetric and
+Im X antisymmetric, so P is one-to-one, and for Hermitian X and Y the
+cross sums vanish and Re sum_mn X_mn Y_mn = sum_mn P(X)_mn P(Y)_nm.  The
+outer products conj(O_q[j, m]) O_q[j, n] depend on the grid alone, so
+the grid keeps their P, as a (2 nq, 16) real matrix.  P(M_b)^T is
+real-linear in P(W), with coefficients fixed by the grid, which keeps
 them as well, as the (16, 16 B) real matrix of inner terms.  A form is
-then two products: the parameters of W times the inner terms give the
-(16, B) parameters of every M_b at once, and one real matrix product of
-the outer terms by those gives f at all nq B >= nt table points at once,
-the first nt being the grid's.  Those two products are the only BLAS
-calls an assembly makes; each output depends only on its own q and b, so
-they need no chunking.  Both stacks are one stack of V at one time
-vector, the nq outer times then the B inner ones, and the two routes
-differ only in the expression for V:
+then two products: P(W) times the inner terms gives every P(M_b)^T at
+once, as a (16, B) matrix, and one real matrix product of the outer
+terms by that gives f at all nq B >= nt table points at once, the first
+nt being the grid's.  Those two products are the only BLAS calls an
+assembly makes; each output depends only on its own q and b, so they
+need no chunking.  Both stacks are one stack of V at one time vector,
+the nq outer times then the B inner ones, and the two routes differ only
+in the expression for V:
 
   * Eigendecomposition: U = P diag(w) P^-1, so V(t) = (P diag(phi(t))) P^-1
     with the phase vector phi(t) = exp(i w t), nq + B phase vectors in
@@ -134,12 +134,6 @@ __all__ = [
 COND_LIMIT = 1e3
 BOUND_TOL = 1e-8
 
-_DIAGONAL = np.eye(4, dtype=bool)
-_UPPER = np.triu_indices(4, 1)
-# Re sum_mn X_mn Y_mn = sum_r s_r x_r y_r over the parameters x, y of two
-# Hermitian X, Y: each pair m < n stands for (m, n) and (n, m)
-_TERM_SCALE = np.repeat([1.0, 2.0, -2.0], [4, 6, 6])
-
 # the record of the last run context, under its key; at most one entry
 _context_slot: dict = {}
 
@@ -156,13 +150,13 @@ class PropagatorGrid:
     B = ceil(sqrt(nt)) and nq = ceil(nt / B), V(t_{qB+b}) = V(t_qB) V(t_b),
     and the grid keeps the two read-only stacks with the time index last:
     outer[..., q] = V(t_qB)[:2] for q < nq, a (2, 4, nq) complex array, and
-    inner[..., b] = V(t_b) for b < B, a (4, 4, B) one.  outer_terms is the
-    left factor every form shares, the read-only (2 nq, 16) real matrix
-    whose row (j, q) holds the Hermitian parameters of
-    conj(O_q[j, m]) O_q[j, n], scaled by _TERM_SCALE.  inner_terms maps
-    the parameters of a Hermitian weight W to those of every
-    M_b = conj(I_b) W I_b^T: the read-only (16, 16 B) real matrix with
-    rows over W's parameters and columns over (M_b's parameter, b), 2048
+    inner[..., b] = V(t_b) for b < B, a (4, 4, B) one.  A Hermitian X
+    stands as the real 4x4 matrix P(X) = Re X + Im X (_pack).  outer_terms
+    is the left factor every form shares, the read-only (2 nq, 16) real
+    matrix whose row (j, q) is P(X) of X_mn = conj(O_q[j, m]) O_q[j, n].
+    inner_terms maps P(W) of a Hermitian weight W to P(M_b)^T for every
+    M_b = conj(I_b) W I_b^T: the read-only (16, 16 B) real matrix with rows
+    over the entries of P(W) and columns over (entry of P(M_b)^T, b), 2048
     bytes per inner matrix.  used_fallback is True when the stacks came
     from the scaling-and-squaring exponential instead of the
     eigendecomposition.  The player rows of V(t_{qB+b}) are
@@ -256,18 +250,14 @@ def propagator(U: np.ndarray, t_max: float, dt: float) -> PropagatorGrid:
     outer = np.ascontiguousarray(outer.transpose(1, 2, 0))
     inner = np.ascontiguousarray(inner.transpose(1, 2, 0))
     O = outer.transpose(1, 0, 2)  # [m, j, q]
-    terms = _hermitian_params(O.conj()[:, None] * O[None])  # [r, j, q]
-    terms *= _TERM_SCALE[:, None, None]
-    terms = terms.reshape(16, -1).T
-    # M_b of E_cd, the matrix unit, is conj(I_b[m, c]) I_b[n, d]; W's
-    # parameters weigh E_cc, then E_cd + E_dc and i (E_cd - E_dc) for c < d
+    terms = _pack(O.conj()[:, None] * O[None]).reshape(16, -1).T
+    # K[c, d] = M_b(E_cd)^T for the matrix unit E_cd, conj(I_b[n, c])
+    # I_b[m, d] at [m, n].  The Hermitian W_cd whose P is E_cd is
+    # ((1 + i) E_cd + (1 - i) E_dc) / 2, so _pack(M_b(W_cd)^T), row (c, d)
+    # of the map, is Re K[c, d] + Im K[d, c]
     I = inner.transpose(1, 0, 2)  # [c, m, b]
-    K = I.conj()[:, None, :, None] * I[None, :, None]  # [c, d, m, n, b]
-    c, d = _UPPER
-    K = np.concatenate([K[_DIAGONAL], K[c, d] + K[d, c],
-                        1j * (K[c, d] - K[d, c])])  # [p, m, n, b]
-    inner_terms = _hermitian_params(K.transpose(1, 2, 0, 3))  # [r, p, b]
-    inner_terms = inner_terms.transpose(1, 0, 2).reshape(16, -1)
+    K = I[None, :, :, None] * I.conj()[:, None, None]  # [c, d, m, n, b]
+    inner_terms = (K.real + K.imag.swapaxes(0, 1)).reshape(16, -1)
     for array in (outer, inner, terms, inner_terms):
         array.flags.writeable = False
     return PropagatorGrid(times, U, used_fallback, outer, inner, terms, inner_terms)
@@ -291,23 +281,22 @@ def _expm_stack(M: np.ndarray) -> np.ndarray:
     return E
 
 
-def _hermitian_params(X: np.ndarray) -> np.ndarray:
-    """The 16 real parameters of Hermitian X[m, n, ...] along a new first
-    axis: Re X_mm, then Re X_mn and Im X_mn for m < n."""
-    m, n = _UPPER
-    return np.concatenate([X[_DIAGONAL].real, X[m, n].real, X[m, n].imag])
+def _pack(X: np.ndarray) -> np.ndarray:
+    """P(X) = Re X + Im X, the real matrix that stands for Hermitian X."""
+    return X.real + X.imag
 
 
 def _player_forms(grid: PropagatorGrid, W: np.ndarray) -> np.ndarray:
     """(f_1^W, f_2^W) on the grid as a (2, nt) array; W Hermitian.
 
     f_j^W(t_{qB+b}) = Re sum_mn conj(O_q[j, m]) O_q[j, n] M_b[m, n] with
-    M_b = conj(I_b) W I_b^T.  The 16 parameters of every M_b come from one
-    vector-matrix product, W's parameters times grid.inner_terms, and one
-    real product of grid.outer_terms by those, as a (16, B) matrix, gives
-    f.  The result is a view of the first nt of the nq B table points.
+    M_b = conj(I_b) W I_b^T, that is sum_mn P(X)_mn P(M_b)_nm for the
+    outer product X.  Every P(M_b)^T comes from one vector-matrix
+    product, P(W) times grid.inner_terms, and one real product of
+    grid.outer_terms by those, as a (16, B) matrix, gives f.  The result
+    is a view of the first nt of the nq B table points.
     """
-    weights = _hermitian_params(W) @ grid.inner_terms
+    weights = _pack(W).reshape(16) @ grid.inner_terms
     f = grid.outer_terms @ weights.reshape(16, -1)
     return f.reshape(2, -1)[:, :len(grid.times)]
 
@@ -323,7 +312,7 @@ def mu_player(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     mu_j = f_j^{diag G} on the grid, returned as a (2, nt) array whose
     rows are mu1 and mu2.
     """
-    return _player_forms(grid, np.where(_DIAGONAL, _gram(initial), 0))
+    return _player_forms(grid, np.diag(np.diag(_gram(initial))))
 
 
 def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
@@ -335,7 +324,8 @@ def delta_mu(grid: PropagatorGrid, initial: InitialState) -> np.ndarray:
     t = 0, where V is the identity, it is zero up to rounding.  Shape as
     in mu_player.
     """
-    return _player_forms(grid, np.where(_DIAGONAL, 0, _gram(initial)))
+    G = _gram(initial)
+    return _player_forms(grid, G - np.diag(np.diag(G)))
 
 
 def _diffusion(params: ModelParams, reservoir: ReservoirState) -> np.ndarray:
@@ -352,18 +342,20 @@ def bath_contribution(reservoir: ReservoirState, params: ModelParams,
 
     Q(dt) = F_12 F_11^dag for F = exp([[A, D], [0, -A^dag]] dt), A = i U
     (Van Loan 1978).  By the semigroup law Q(s + t) = Q(s) + V(s) Q(t)
-    V(s)^dag, Q(t_b)^T is the running sum of the inner forms
-    conj(I_c) Q(dt)^T I_c^T over c < b, and the offsets Q(t_qB)_jj are the
-    running sum of the outer forms of Q(t_B): the grid's terms, read as mu
-    reads them, on either route.  nB(0) is +0.0.  Shape as in mu_player.
+    V(s)^dag, Q(t_c+1) - Q(t_c) = I_c Q(dt) I_c^dag is the transposed
+    inner form of the weight Q(dt)^T, so P(Q(dt)^T) times the inner terms
+    gives every P(Q(t_c+1) - Q(t_c)), and their running sum over c < b
+    gives P(Q(t_b)).  The offsets Q(t_qB)_jj are the running sum of the
+    outer forms of Q(t_B): the grid's terms, read as mu reads them, on
+    either route.  nB(0) is +0.0.  Shape as in mu_player.
     """
     A = 1j * grid.generator
     block = np.block([[A, _diffusion(params, reservoir)],
                       [np.zeros((4, 4)), -A.conj().T]])
     F = _expm_stack(block[None] * grid.times[1])[0]
-    step = 2.0 * np.pi * _hermitian_params(F[:4, :4].conj() @ F[:4, 4:].T)
-    steps = (step @ grid.inner_terms).reshape(16, -1)  # of 2 pi (Q(t_c+1) - Q(t_c))^T
-    weights = np.zeros_like(steps)  # [:, b] of 2 pi Q(t_b)^T
+    step = 2.0 * np.pi * _pack(F[:4, :4].conj() @ F[:4, 4:].T).reshape(16)
+    steps = (step @ grid.inner_terms).reshape(16, -1)  # P(2 pi (Q(t_c+1) - Q(t_c)))
+    weights = np.zeros_like(steps)  # [:, b] is P(2 pi Q(t_b))
     np.cumsum(steps[:, :-1], axis=1, out=weights[:, 1:])
     f = (grid.outer_terms @ weights).reshape(2, -1, steps.shape[1])  # [j, q, b]
     period = grid.outer_terms @ (weights[:, -1] + steps[:, -1])  # of 2 pi Q(t_B)
@@ -388,7 +380,7 @@ def stationary_limit(params: ModelParams,
     A = 1j * build_generator(params)
     L = np.kron(A, np.eye(4)) + np.kron(np.eye(4), A.conj())
     N = np.linalg.solve(L, _diffusion(params, reservoir).reshape(16))
-    n1, n2 = -2.0 * np.pi * N[[0, 5]].real + 0.0  # N_11, N_22; no -0.0
+    n1, n2 = -2.0 * np.pi * N.reshape(4, 4).diagonal()[:2].real + 0.0  # no -0.0
     return float(n1), float(n2)
 
 

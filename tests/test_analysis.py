@@ -154,6 +154,43 @@ def test_window_spans_equal_brute_force(case):
                           windows.max(axis=1) - windows.min(axis=1))
 
 
+@st.composite
+def rule_cases(draw):
+    # values off [0, 1], nan and repeats, so that stable tails and
+    # unstable windows both occur
+    entries = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.25, 0.2501, math.nan]))
+    values = np.array(draw(st.lists(entries, min_size=2, max_size=200)))
+    window = draw(st.integers(1, len(values) - 1))
+    return values, window, draw(st.floats(1e-4, 2.0))
+
+
+def brute_force_decision(values, length, epsilon):
+    """(tau index, odds) from the rule's definition, window by window."""
+    starts = range(len(values) - length + 1)
+    stable = [bool(np.ptp(values[i:i + length]) < epsilon) for i in starts]  # nan: False
+    for i in starts:
+        if all(stable[i:]):
+            p = min(max(float(values[i]), 0.0), 1.0)
+            return i, (math.inf if 1.0 - p < 1e-12 else p / (1.0 - p))
+    return None, None
+
+
+@given(case=rule_cases())
+@settings(deadline=None, max_examples=300)
+def test_decision_time_equals_brute_force(case):
+    values, window, epsilon = case
+    dt = 1e-3
+    series = synthetic(values, values[::-1], dt=dt)
+    outcomes = decision_time(series, epsilon=epsilon, window=window * dt)
+    for outcome, column in zip(outcomes, (values, values[::-1])):
+        idx, odds_at_tau = brute_force_decision(column, window + 1, epsilon)
+        if idx is None:
+            assert outcome.tau is None and outcome.odds_at_tau is None
+        else:
+            assert outcome.tau == series.times[idx]
+            assert outcome.odds_at_tau == odds_at_tau
+
+
 def test_decision_time_is_linear_in_the_horizon():
     # default window = 10% of the run, i.e. 40000 samples; a rule that
     # scans every window costs nt * w = 1.6e10 comparisons here

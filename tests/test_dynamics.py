@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from hard import (
     exceptional_points,
     hard_params,
     hard_reservoirs,
+    hard_values,
     make_params,
     make_scenario,
     route_cases,
@@ -493,6 +495,43 @@ def test_product_forms_match_elementwise_forms(s, route, monkeypatch):
                      (dynamics._player_forms(grid, HERMITIAN), HERMITIAN)):
         assert forms.shape == (2, len(grid.times))
         assert np.abs(forms - elementwise_forms(grid, W)).max() <= 8 * EPS * scale
+
+
+# the formatter's hard values whose products cannot overflow: subnormals,
+# decade edges and ties, up to 1e150
+_PACK_VALUES = [v for v in hard_values() if abs(v) <= 1e150]
+
+
+@st.composite
+def hermitian_matrices(draw):
+    entries = st.one_of(st.sampled_from(_PACK_VALUES), st.floats(-1.0, 1.0))
+    v = draw(st.lists(entries, min_size=16, max_size=16))
+    X = np.diag(v[:4]).astype(complex)
+    m, n = np.triu_indices(4, 1)
+    X.real[m, n] = X.real[n, m] = v[4:10]
+    X.imag[m, n] = v[10:]
+    X.imag[n, m] = -np.array(v[10:])
+    return X
+
+
+def frobenius(X):
+    """||X||_F without underflow or overflow in the squares."""
+    return math.hypot(*np.abs(X).ravel())
+
+
+@given(X=hermitian_matrices(), Y=hermitian_matrices())
+@settings(deadline=None, max_examples=300)
+def test_pack_turns_the_hermitian_product_sum_real(X, Y):
+    # Re sum_mn X_mn Y_mn = sum_mn P(X)_mn P(Y)_nm with P(X) = Re X + Im X,
+    # against the exact rational sum: P rounds once per entry, so the
+    # packed sum rounds at a few eps ||X||_F ||Y||_F, plus the subnormal
+    # grain where its products underflow
+    packed = (dynamics._pack(X) * dynamics._pack(Y).T).sum()
+    exact = sum(Fraction(x.real) * Fraction(y.real) - Fraction(x.imag) * Fraction(y.imag)
+                for x, y in zip(X.ravel(), Y.ravel()))
+    grain = 16 * np.finfo(float).smallest_subnormal
+    tol = 8 * EPS * frobenius(X) * frobenius(Y) + grain
+    assert abs(Fraction(float(packed)) - exact) <= Fraction(tol)
 
 
 # S swaps (b1, b2) with (b1^dag, b2^dag)
